@@ -21,14 +21,22 @@ int threads_for(const ExecContext& ctx, std::size_t n) {
   return n >= kParallelGrain ? ctx.num_threads : 1;
 }
 
+// D built from I, plus which initial dichotomies kept their own raise.
+struct RaisedSet {
+  std::vector<Dichotomy> raised;
+  /// self_covered[i] != 0 iff initial[i] survived raising: its maximal
+  /// raise is in `raised` and, raising only ever adding symbols to the
+  /// blocks, covers initial[i] itself.
+  std::vector<char> self_covered;
+};
+
 // Builds D from I: delete invalid dichotomies, raise the survivors to their
 // maximal form, delete any that became invalid, and deduplicate. Raising is
 // independent per dichotomy, so the loop fans out over `ctx.num_threads`
 // with one result slot per input — the surviving order (and therefore the
 // deduplicated set) matches the sequential path exactly.
-std::vector<Dichotomy> valid_raised_set(
-    const std::vector<InitialDichotomy>& initial, const ConstraintSet& cs,
-    const ExecContext& ctx) {
+RaisedSet valid_raised_set(const std::vector<InitialDichotomy>& initial,
+                           const ConstraintSet& cs, const ExecContext& ctx) {
   TRACE_SCOPE(ctx, "raise_pass");
   std::vector<std::optional<Dichotomy>> slots(initial.size());
   parallel_for(initial.size(), threads_for(ctx, initial.size()),
@@ -40,26 +48,34 @@ std::vector<Dichotomy> valid_raised_set(
                  if (!dichotomy_valid(raised, cs)) return;
                  slots[i] = std::move(raised);
                });
-  std::vector<Dichotomy> d;
-  d.reserve(initial.size());
-  for (auto& s : slots)
-    if (s) d.push_back(std::move(*s));
-  dedupe_dichotomies(d);
+  RaisedSet res;
+  res.raised.reserve(initial.size());
+  res.self_covered.assign(initial.size(), 0);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i]) continue;
+    res.raised.push_back(std::move(*slots[i]));
+    res.self_covered[i] = 1;
+  }
+  dedupe_dichotomies(res.raised);
   // Raising is per-item and the slot merge is order-preserving, so both
   // values are thread-count invariant (fingerprint-safe).
   metric_add(ctx, "raise.attempts", initial.size());
-  metric_add(ctx, "raise.kept", d.size());
-  return d;
+  metric_add(ctx, "raise.kept", res.raised.size());
+  return res;
 }
 
+// Theorem 6.1's condition: the initial dichotomies no member of D covers.
+// An initial dichotomy whose own raise survived is covered by that raise,
+// so only the others are scanned against D.
 std::vector<std::size_t> uncovered_initials(
-    const std::vector<InitialDichotomy>& initial,
-    const std::vector<Dichotomy>& d, const ExecContext& ctx) {
+    const std::vector<InitialDichotomy>& initial, const RaisedSet& d,
+    const ExecContext& ctx) {
   TRACE_SCOPE(ctx, "coverage_check");
-  std::vector<char> covered(initial.size(), 0);
+  std::vector<char> covered = d.self_covered;
   parallel_for(initial.size(), threads_for(ctx, initial.size()),
                [&](std::size_t i) {
-                 for (const auto& raised : d) {
+                 if (covered[i]) return;
+                 for (const auto& raised : d.raised) {
                    if (raised.covers(initial[i].dichotomy)) {
                      covered[i] = 1;
                      return;
@@ -79,8 +95,9 @@ FeasibilityResult check_feasible(const ConstraintSet& cs,
   StageScope stage(ctx, "feasibility");
   FeasibilityResult res;
   res.initial = generate_initial_dichotomies(cs);
-  res.raised = valid_raised_set(res.initial, cs, stage.ctx());
-  res.uncovered = uncovered_initials(res.initial, res.raised, stage.ctx());
+  RaisedSet d = valid_raised_set(res.initial, cs, stage.ctx());
+  res.uncovered = uncovered_initials(res.initial, d, stage.ctx());
+  res.raised = std::move(d.raised);
   res.feasible = res.uncovered.empty();
   stage.add_items(res.initial.size());
   return res;
@@ -102,11 +119,12 @@ ExactEncodeResult exact_encode(const ConstraintSet& cs,
   }
   {
     StageScope stage(ctx, "raise");
-    d = valid_raised_set(initial, cs, stage.ctx());
-    res.num_raised = d.size();
-    stage.add_items(d.size());
+    RaisedSet raised = valid_raised_set(initial, cs, stage.ctx());
+    res.num_raised = raised.raised.size();
+    stage.add_items(raised.raised.size());
 
-    res.uncovered = uncovered_initials(initial, d, stage.ctx());
+    res.uncovered = uncovered_initials(initial, raised, stage.ctx());
+    d = std::move(raised.raised);
   }
   if (!res.uncovered.empty()) {
     res.status = ExactEncodeResult::Status::kInfeasible;

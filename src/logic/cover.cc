@@ -14,15 +14,18 @@ void Cover::add_all(const Cover& o) {
 }
 
 void Cover::make_scc_minimal() {
-  // Sort by descending popcount so a containing cube precedes the cubes it
-  // contains; then a single forward pass suffices.
-  std::stable_sort(cubes_.begin(), cubes_.end(),
-                   [](const Cube& a, const Cube& b) {
-                     return a.bits.count() > b.bits.count();
-                   });
+  // Visit by descending popcount (stable) so a containing cube precedes the
+  // cubes it contains; then a single forward pass suffices.
+  std::vector<std::pair<std::size_t, std::size_t>> order;  // (count, index)
+  order.reserve(cubes_.size());
+  for (std::size_t i = 0; i < cubes_.size(); ++i)
+    order.emplace_back(cubes_[i].bits.count(), i);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<Cube> kept;
   kept.reserve(cubes_.size());
-  for (const Cube& c : cubes_) {
+  for (const auto& [count, i] : order) {
+    Cube& c = cubes_[i];
     bool contained = false;
     for (const Cube& k : kept) {
       if (cube_contains(k, c)) {
@@ -30,7 +33,7 @@ void Cover::make_scc_minimal() {
         break;
       }
     }
-    if (!contained) kept.push_back(c);
+    if (!contained) kept.push_back(std::move(c));
   }
   cubes_ = std::move(kept);
 }

@@ -63,6 +63,10 @@ std::vector<Cube> cube_complement(const Domain& dom, const Cube& c);
 /// Smallest cube containing both a and b (part-wise union).
 Cube cube_supercube(const Cube& a, const Cube& b);
 
+/// True if part `part` (an input variable, or num_inputs() for the output
+/// part; see Domain::num_parts) admits every value in c.
+bool cube_part_full(const Domain& dom, const Cube& c, int part);
+
 /// True if the part of input variable `var` is full in c.
 bool input_part_full(const Domain& dom, const Cube& c, int var);
 

@@ -11,18 +11,38 @@ namespace encodesat {
 
 namespace {
 
+// Upper bound for .i/.o: far above any real PLA, low enough that a bogus
+// header cannot drive an allocation of billions of cube positions.
+constexpr int kMaxHeaderCount = 1 << 20;
+
+[[noreturn]] void pla_error(int line_no, const std::string& msg) {
+  throw std::runtime_error("PLA line " + std::to_string(line_no) + ": " + msg);
+}
+
+int header_count(const std::vector<std::string>& tok, int line_no) {
+  const auto v = parse_count(tok[1], kMaxHeaderCount);
+  if (!v || *v == 0)
+    pla_error(line_no, tok[0] + " expects a count in [1, " +
+                           std::to_string(kMaxHeaderCount) + "], got '" +
+                           tok[1] + "'");
+  return *v;
+}
+
 // Splits a PLA cube line into input field and output field, tolerating
 // arbitrary whitespace (espresso allows "01-1 10" and "01-1|10" variants are
 // not supported).
-void parse_cube_line(const std::string& line, int ni, int no,
+void parse_cube_line(const std::string& line, int line_no, int ni, int no,
                      std::string& inputs, std::string& outputs) {
   std::string compact;
   for (char ch : line)
     if (ch != ' ' && ch != '\t') compact += ch;
   if (static_cast<int>(compact.size()) != ni + no)
-    throw std::runtime_error("PLA cube line has wrong width: " + line);
+    pla_error(line_no, "cube line has wrong width: " + line);
   inputs = compact.substr(0, static_cast<std::size_t>(ni));
   outputs = compact.substr(static_cast<std::size_t>(ni));
+  for (char ch : inputs)
+    if (ch != '0' && ch != '1' && ch != '-' && ch != '2')
+      pla_error(line_no, std::string("bad input character '") + ch + "'");
 }
 
 }  // namespace
@@ -31,26 +51,28 @@ Pla read_pla(std::istream& in) {
   int ni = -1, no = -1;
   std::string type = "fd";
   std::vector<std::string> ilb, ob;
-  std::vector<std::string> cube_lines;
+  std::vector<std::pair<int, std::string>> cube_lines;  // (line no, text)
 
   std::string raw;
+  int line_no = 0;
   while (std::getline(in, raw)) {
+    ++line_no;
     std::string line{trim(raw)};
     if (line.empty() || line[0] == '#') continue;
     if (line[0] == '.') {
       auto tok = split_ws(line);
       const std::string& dir = tok[0];
-      if (dir == ".i" && tok.size() >= 2) ni = std::stoi(tok[1]);
-      else if (dir == ".o" && tok.size() >= 2) no = std::stoi(tok[1]);
+      if (dir == ".i" && tok.size() >= 2) ni = header_count(tok, line_no);
+      else if (dir == ".o" && tok.size() >= 2) no = header_count(tok, line_no);
       else if (dir == ".type" && tok.size() >= 2) type = tok[1];
       else if (dir == ".ilb") ilb.assign(tok.begin() + 1, tok.end());
       else if (dir == ".ob") ob.assign(tok.begin() + 1, tok.end());
       else if (dir == ".e" || dir == ".end") break;
       else if (dir == ".p") { /* cube count: informative only */ }
-      else throw std::runtime_error("unsupported PLA directive: " + dir);
+      else pla_error(line_no, "unsupported directive: " + dir);
       continue;
     }
-    cube_lines.push_back(line);
+    cube_lines.emplace_back(line_no, line);
   }
   if (ni <= 0 || no <= 0)
     throw std::runtime_error("PLA missing .i/.o declarations");
@@ -64,9 +86,9 @@ Pla read_pla(std::istream& in) {
   pla.input_labels = std::move(ilb);
   pla.output_labels = std::move(ob);
 
-  for (const std::string& line : cube_lines) {
+  for (const auto& [cube_line_no, line] : cube_lines) {
     std::string inputs, outputs;
-    parse_cube_line(line, ni, no, inputs, outputs);
+    parse_cube_line(line, cube_line_no, ni, no, inputs, outputs);
     std::string on_out(static_cast<std::size_t>(no), '0');
     std::string dc_out(static_cast<std::size_t>(no), '0');
     std::string off_out(static_cast<std::size_t>(no), '0');
@@ -94,7 +116,8 @@ Pla read_pla(std::istream& in) {
           }
           break;
         default:
-          throw std::runtime_error("bad PLA output character");
+          pla_error(cube_line_no,
+                    std::string("bad output character '") + ch + "'");
       }
     }
     if (has_on) pla.on.add(cube_from_string(pla.domain, inputs, on_out));

@@ -1,6 +1,7 @@
 #include "util/bitset.h"
 
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -31,94 +32,182 @@ inline void check_same_universe(std::size_t a, std::size_t b, const char* op) {
 }
 }  // namespace
 
+Bitset::Bitset(std::size_t size) : size_(size) {
+  if (on_heap()) heap_ = new std::uint64_t[words_for(size)]();
+}
+
+Bitset::Bitset(const Bitset& o) : size_(o.size_) {
+  if (on_heap()) {
+    heap_ = new std::uint64_t[words_for(size_)];
+    std::memcpy(heap_, o.heap_, words_for(size_) * sizeof(std::uint64_t));
+  } else {
+    std::memcpy(inline_, o.inline_, sizeof(inline_));
+  }
+}
+
+// A moved-from Bitset is left as the empty universe, ready for reuse.
+Bitset::Bitset(Bitset&& o) noexcept : size_(o.size_) {
+  if (on_heap())
+    heap_ = o.heap_;
+  else
+    std::memcpy(inline_, o.inline_, sizeof(inline_));
+  o.size_ = 0;
+  std::memset(o.inline_, 0, sizeof(o.inline_));
+}
+
+Bitset& Bitset::operator=(const Bitset& o) {
+  if (this == &o) return *this;
+  const std::size_t n = words_for(o.size_);
+  if (o.on_heap()) {
+    // Reuse an existing heap array of the same word count.
+    if (!on_heap() || words_for(size_) != n) {
+      std::uint64_t* fresh = new std::uint64_t[n];
+      release();
+      heap_ = fresh;
+    }
+    std::memcpy(heap_, o.heap_, n * sizeof(std::uint64_t));
+  } else {
+    release();
+    std::memcpy(inline_, o.inline_, sizeof(inline_));
+  }
+  size_ = o.size_;
+  return *this;
+}
+
+Bitset& Bitset::operator=(Bitset&& o) noexcept {
+  if (this == &o) return *this;
+  release();
+  size_ = o.size_;
+  if (on_heap())
+    heap_ = o.heap_;
+  else
+    std::memcpy(inline_, o.inline_, sizeof(inline_));
+  o.size_ = 0;
+  std::memset(o.inline_, 0, sizeof(o.inline_));
+  return *this;
+}
+
 void Bitset::clear() {
-  for (auto& w : words_) w = 0;
+  std::memset(words(), 0, num_words() * sizeof(std::uint64_t));
 }
 
 void Bitset::set_all() {
-  for (auto& w : words_) w = ~std::uint64_t{0};
-  if (!words_.empty()) words_.back() &= tail_mask(size_);
+  const std::size_t n = num_words();
+  if (n == 0) return;
+  std::uint64_t* w = words();
+  for (std::size_t k = 0; k < n; ++k) w[k] = ~std::uint64_t{0};
+  w[n - 1] &= tail_mask(size_);
 }
 
 std::size_t Bitset::count() const {
+  const std::uint64_t* w = words();
+  const std::size_t nw = num_words();
   std::size_t n = 0;
-  for (auto w : words_) n += static_cast<std::size_t>(std::popcount(w));
+  for (std::size_t k = 0; k < nw; ++k)
+    n += static_cast<std::size_t>(std::popcount(w[k]));
   return n;
 }
 
 bool Bitset::empty() const {
-  for (auto w : words_)
-    if (w != 0) return false;
+  const std::uint64_t* w = words();
+  const std::size_t nw = num_words();
+  for (std::size_t k = 0; k < nw; ++k)
+    if (w[k] != 0) return false;
   return true;
 }
 
 std::size_t Bitset::first() const {
-  for (std::size_t k = 0; k < words_.size(); ++k)
-    if (words_[k] != 0)
-      return k * 64 + static_cast<std::size_t>(std::countr_zero(words_[k]));
+  const std::uint64_t* w = words();
+  const std::size_t nw = num_words();
+  for (std::size_t k = 0; k < nw; ++k)
+    if (w[k] != 0)
+      return k * 64 + static_cast<std::size_t>(std::countr_zero(w[k]));
   return size_;
 }
 
 std::size_t Bitset::next(std::size_t i) const {
   ++i;
   if (i >= size_) return size_;
+  const std::uint64_t* words_p = words();
+  const std::size_t nw = num_words();
   std::size_t k = i >> 6;
-  std::uint64_t w = words_[k] & (~std::uint64_t{0} << (i & 63));
+  std::uint64_t w = words_p[k] & (~std::uint64_t{0} << (i & 63));
   while (true) {
     if (w != 0) return k * 64 + static_cast<std::size_t>(std::countr_zero(w));
-    if (++k == words_.size()) return size_;
-    w = words_[k];
+    if (++k == nw) return size_;
+    w = words_p[k];
   }
 }
 
 Bitset& Bitset::operator|=(const Bitset& o) {
   check_same_universe(size_, o.size_, "operator|=");
-  for (std::size_t k = 0; k < words_.size(); ++k) words_[k] |= o.words_[k];
+  std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k) w[k] |= ow[k];
   return *this;
 }
 
 Bitset& Bitset::operator&=(const Bitset& o) {
   check_same_universe(size_, o.size_, "operator&=");
-  for (std::size_t k = 0; k < words_.size(); ++k) words_[k] &= o.words_[k];
+  std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k) w[k] &= ow[k];
   return *this;
 }
 
 Bitset& Bitset::operator^=(const Bitset& o) {
   check_same_universe(size_, o.size_, "operator^=");
-  for (std::size_t k = 0; k < words_.size(); ++k) words_[k] ^= o.words_[k];
+  std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k) w[k] ^= ow[k];
   return *this;
 }
 
 Bitset& Bitset::subtract(const Bitset& o) {
   check_same_universe(size_, o.size_, "subtract");
-  for (std::size_t k = 0; k < words_.size(); ++k) words_[k] &= ~o.words_[k];
+  std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k) w[k] &= ~ow[k];
   return *this;
+}
+
+bool Bitset::operator==(const Bitset& o) const {
+  return size_ == o.size_ &&
+         std::memcmp(words(), o.words(),
+                     num_words() * sizeof(std::uint64_t)) == 0;
 }
 
 bool Bitset::operator<(const Bitset& o) const {
   if (size_ != o.size_) return size_ < o.size_;
-  for (std::size_t k = words_.size(); k-- > 0;)
-    if (words_[k] != o.words_[k]) return words_[k] < o.words_[k];
+  const std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = num_words(); k-- > 0;)
+    if (w[k] != ow[k]) return w[k] < ow[k];
   return false;
 }
 
 bool Bitset::is_subset_of(const Bitset& o) const {
   check_same_universe(size_, o.size_, "is_subset_of");
-  for (std::size_t k = 0; k < words_.size(); ++k)
-    if ((words_[k] & ~o.words_[k]) != 0) return false;
+  const std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k)
+    if ((w[k] & ~ow[k]) != 0) return false;
   return true;
 }
 
 bool Bitset::intersects(const Bitset& o) const {
   check_same_universe(size_, o.size_, "intersects");
-  for (std::size_t k = 0; k < words_.size(); ++k)
-    if ((words_[k] & o.words_[k]) != 0) return true;
+  const std::uint64_t* w = words();
+  const std::uint64_t* ow = o.words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k)
+    if ((w[k] & ow[k]) != 0) return true;
   return false;
 }
 
 void Bitset::for_each(const std::function<void(std::size_t)>& f) const {
-  for (std::size_t k = 0; k < words_.size(); ++k) {
-    std::uint64_t w = words_[k];
+  const std::uint64_t* words_p = words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k) {
+    std::uint64_t w = words_p[k];
     while (w != 0) {
       const int b = std::countr_zero(w);
       f(k * 64 + static_cast<std::size_t>(b));
@@ -149,8 +238,9 @@ std::string Bitset::to_string() const {
 std::size_t Bitset::hash() const {
   // FNV-1a over words; adequate for hash-set dedup of terms/dichotomies.
   std::size_t h = 1469598103934665603ull;
-  for (auto w : words_) {
-    h ^= static_cast<std::size_t>(w);
+  const std::uint64_t* w = words();
+  for (std::size_t k = 0, n = num_words(); k < n; ++k) {
+    h ^= static_cast<std::size_t>(w[k]);
     h *= 1099511628211ull;
   }
   h ^= size_;

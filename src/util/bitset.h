@@ -18,22 +18,41 @@ namespace encodesat {
 /// All binary operations require both operands to have the same universe
 /// size; a mismatch throws std::invalid_argument in every build mode (a
 /// mismatched universe is always a caller bug, and the word loops would
-/// otherwise silently truncate). The value semantics are cheap
-/// enough for the problem sizes in this domain (tens to a few thousand
-/// elements), which keeps the algorithm code free of aliasing concerns.
+/// otherwise silently truncate). The value semantics keep the algorithm
+/// code free of aliasing concerns, and they are cheap: universes of up to
+/// kInlineWords * 64 elements — every cube of the face-cost and
+/// constraint-generation domains, every dichotomy over <= 128 symbols —
+/// keep their words inline and never touch the heap. Larger universes own
+/// one heap array. Bits past size() are always zero.
 class Bitset {
  public:
+  static constexpr std::size_t kInlineWords = 2;
+
   Bitset() = default;
-  explicit Bitset(std::size_t size) : size_(size), words_((size + 63) / 64, 0) {}
+  explicit Bitset(std::size_t size);
+  Bitset(const Bitset& o);
+  Bitset(Bitset&& o) noexcept;
+  Bitset& operator=(const Bitset& o);
+  Bitset& operator=(Bitset&& o) noexcept;
+  ~Bitset() { release(); }
 
   /// Universe size (number of addressable positions), not the popcount.
   std::size_t size() const { return size_; }
 
+  /// Raw word access (num_words() words, 64 elements each, bits past
+  /// size() zero) for word-parallel kernels such as the cube operations.
+  /// Writers must keep the tail bits clear.
+  std::size_t num_words() const { return words_for(size_); }
+  const std::uint64_t* words() const { return on_heap() ? heap_ : inline_; }
+  std::uint64_t* words() { return on_heap() ? heap_ : inline_; }
+
   bool test(std::size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1u;
+    return (words()[i >> 6] >> (i & 63)) & 1u;
   }
-  void set(std::size_t i) { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
-  void reset(std::size_t i) { words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63)); }
+  void set(std::size_t i) { words()[i >> 6] |= std::uint64_t{1} << (i & 63); }
+  void reset(std::size_t i) {
+    words()[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  }
   void assign(std::size_t i, bool v) { v ? set(i) : reset(i); }
 
   void clear();
@@ -59,9 +78,7 @@ class Bitset {
   friend Bitset operator&(Bitset a, const Bitset& b) { return a &= b; }
   friend Bitset operator^(Bitset a, const Bitset& b) { return a ^= b; }
 
-  bool operator==(const Bitset& o) const {
-    return size_ == o.size_ && words_ == o.words_;
-  }
+  bool operator==(const Bitset& o) const;
   bool operator!=(const Bitset& o) const { return !(*this == o); }
   /// Lexicographic order on the word representation; used for canonical
   /// sorting and dedup of dichotomies and SOP terms.
@@ -81,9 +98,20 @@ class Bitset {
   std::size_t hash() const;
 
  private:
+  static std::size_t words_for(std::size_t size) { return (size + 63) >> 6; }
+  bool on_heap() const { return size_ > kInlineWords * 64; }
+  void release() {
+    if (on_heap()) delete[] heap_;
+  }
+
   std::size_t size_ = 0;
-  std::vector<std::uint64_t> words_;
+  union {
+    std::uint64_t inline_[kInlineWords] = {};
+    std::uint64_t* heap_;
+  };
 };
+
+static_assert(sizeof(Bitset) <= 32, "Bitset must stay a small value type");
 
 struct BitsetHash {
   std::size_t operator()(const Bitset& b) const { return b.hash(); }

@@ -24,6 +24,17 @@ std::string_view trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
+std::optional<int> parse_count(std::string_view s, int max) {
+  if (s.empty()) return std::nullopt;
+  long long v = 0;
+  for (char ch : s) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    v = v * 10 + (ch - '0');
+    if (v > max) return std::nullopt;
+  }
+  return static_cast<int>(v);
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

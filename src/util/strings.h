@@ -1,6 +1,7 @@
 // Minimal string helpers shared by the constraint and KISS2 parsers.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,11 @@ std::vector<std::string> split_ws(std::string_view s,
 
 /// Removes leading and trailing whitespace.
 std::string_view trim(std::string_view s);
+
+/// Parses a decimal count: digits only (no sign, no spaces), value in
+/// [0, max]. Returns std::nullopt otherwise — the KISS2 and PLA header
+/// parsers turn that into a line-specific diagnostic.
+std::optional<int> parse_count(std::string_view s, int max);
 
 /// True if s starts with the given prefix.
 bool starts_with(std::string_view s, std::string_view prefix);

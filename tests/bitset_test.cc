@@ -146,5 +146,148 @@ TEST(Bitset, MismatchedUniverseBinaryOpsThrow) {
   EXPECT_EQ(a.to_string(), "{3,4}");
 }
 
+// Storage: universes up to 128 live inline, larger ones on the heap. Every
+// value operation must behave the same on both sides of that boundary and
+// across it.
+const std::size_t kStorageUniverses[] = {0, 1, 63, 64, 128, 129, 1000};
+
+// A deterministic pattern touching the first, last and word-edge bits.
+Bitset patterned(std::size_t n, std::size_t salt) {
+  Bitset b(n);
+  for (std::size_t i = 0; i < n; ++i)
+    if ((i * 7 + salt) % 3 == 0 || i == 0 || i + 1 == n || i % 64 == 63)
+      b.set(i);
+  return b;
+}
+
+std::vector<std::size_t> expected_bits(std::size_t n, std::size_t salt) {
+  std::vector<std::size_t> v;
+  for (std::size_t i = 0; i < n; ++i)
+    if ((i * 7 + salt) % 3 == 0 || i == 0 || i + 1 == n || i % 64 == 63)
+      v.push_back(i);
+  return v;
+}
+
+TEST(BitsetStorage, SizeDidNotGrow) {
+  static_assert(sizeof(Bitset) <= 32);
+  EXPECT_LE(sizeof(Bitset), 32u);
+}
+
+TEST(BitsetStorage, CopyMoveAndSelfAssign) {
+  for (std::size_t n : kStorageUniverses) {
+    SCOPED_TRACE(n);
+    const Bitset a = patterned(n, 1);
+    Bitset copy(a);
+    EXPECT_EQ(copy, a);
+    EXPECT_EQ(copy.to_vector(), expected_bits(n, 1));
+    if (n > 0) {
+      copy.reset(0);  // a deep copy: the original is untouched
+      EXPECT_TRUE(a.test(0));
+    }
+
+    Bitset moved(std::move(copy));
+    EXPECT_EQ(moved.size(), n);
+    if (n > 0) {
+      EXPECT_FALSE(moved.test(0));
+    }
+
+    Bitset self = a;
+    Bitset& alias = self;
+    self = alias;
+    EXPECT_EQ(self, a);
+    self = std::move(alias);
+    EXPECT_EQ(self, a);
+    EXPECT_EQ(self.count(), a.count());
+  }
+}
+
+TEST(BitsetStorage, AssignAcrossInlineHeapBoundary) {
+  for (std::size_t from : kStorageUniverses) {
+    for (std::size_t to : kStorageUniverses) {
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      const Bitset src = patterned(from, 2);
+      Bitset dst = patterned(to, 0);
+      dst = src;
+      EXPECT_EQ(dst, src);
+      EXPECT_EQ(dst.size(), from);
+      EXPECT_EQ(dst.to_vector(), expected_bits(from, 2));
+
+      Bitset dst2 = patterned(to, 1);
+      Bitset tmp = src;
+      dst2 = std::move(tmp);
+      EXPECT_EQ(dst2, src);
+      EXPECT_EQ(dst2.hash(), src.hash());
+    }
+  }
+}
+
+TEST(BitsetStorage, MovedFromObjectIsReusable) {
+  for (std::size_t n : kStorageUniverses) {
+    SCOPED_TRACE(n);
+    Bitset a = patterned(n, 0);
+    Bitset b(std::move(a));
+    EXPECT_EQ(b.to_vector(), expected_bits(n, 0));
+    // The moved-from object is a valid empty universe...
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a, Bitset());
+    // ...and takes new values of any size.
+    for (std::size_t m : kStorageUniverses) {
+      a = patterned(m, 1);
+      EXPECT_EQ(a.to_vector(), expected_bits(m, 1));
+      a |= patterned(m, 2);
+      EXPECT_EQ(a, patterned(m, 1) | patterned(m, 2));
+    }
+    Bitset c;
+    c = std::move(b);
+    EXPECT_EQ(b.size(), 0u);
+    b = Bitset(n);
+    b.set_all();
+    EXPECT_EQ(b.count(), n);
+  }
+}
+
+TEST(BitsetStorage, OrderingHashAndMismatchAcrossSizes) {
+  for (std::size_t n : kStorageUniverses) {
+    SCOPED_TRACE(n);
+    Bitset lo(n), hi(n);
+    if (n > 0) {
+      lo.set(0);
+      hi.set(n - 1);
+      if (n > 1) {
+        EXPECT_TRUE(lo < hi);  // the highest word decides
+        EXPECT_FALSE(hi < lo);
+        EXPECT_NE(lo.hash(), hi.hash());
+      }
+    }
+    EXPECT_FALSE(lo < lo);
+    EXPECT_EQ(lo.hash(), Bitset(lo).hash());
+    // Smaller universes order first regardless of contents.
+    Bitset bigger(n + 1);
+    EXPECT_TRUE(lo < bigger);
+    EXPECT_THROW(lo |= bigger, std::invalid_argument);
+    EXPECT_THROW((void)lo.is_subset_of(bigger), std::invalid_argument);
+    EXPECT_THROW((void)bigger.intersects(lo), std::invalid_argument);
+    // A failed operation leaves the operand intact.
+    EXPECT_EQ(lo.size(), n);
+    EXPECT_EQ(lo.count(), n > 0 ? 1u : 0u);
+  }
+}
+
+TEST(BitsetStorage, HashMatchesWordFnv) {
+  // The hash is FNV-1a over the words then the size; containers keyed on it
+  // (and anything ordered by iteration over them) depend on it staying put.
+  Bitset b(129);
+  b.set(0);
+  b.set(128);
+  std::size_t h = 1469598103934665603ull;
+  for (std::uint64_t w : {std::uint64_t{1}, std::uint64_t{0}, std::uint64_t{1}}) {
+    h ^= static_cast<std::size_t>(w);
+    h *= 1099511628211ull;
+  }
+  h ^= 129;
+  EXPECT_EQ(b.hash(), h);
+}
+
 }  // namespace
 }  // namespace encodesat

@@ -10,8 +10,10 @@
 
 #include "core/encoder.h"
 #include "core/local_check.h"
+#include "core/output_rules.h"
 #include "core/solver.h"
 #include "core/verify.h"
+#include "fuzz/generator.h"
 
 namespace encodesat {
 namespace {
@@ -212,6 +214,70 @@ TEST(ExactEncode, ExtendedDisjunctiveSatisfied) {
   const SolveResult res = Solver(cs).encode();
   ASSERT_EQ(res.status, SolveResult::Status::kEncoded);
   EXPECT_TRUE(verify_encoding(res.encoding, cs).empty());
+}
+
+// Reference for check_feasible's coverage stage: rebuilds the valid
+// maximally raised set D from scratch and scans every initial dichotomy
+// against all of D (O(|I| x |D|)), with none of the self-cover shortcut.
+struct BruteForceFeasibility {
+  std::vector<Dichotomy> raised;
+  std::vector<std::size_t> uncovered;
+  /// Initial dichotomies covered only by some other raise (their own raise
+  /// was invalid): the cases the shortcut must still scan for.
+  std::size_t covered_by_others = 0;
+};
+
+BruteForceFeasibility brute_force_feasibility(const ConstraintSet& cs) {
+  BruteForceFeasibility ref;
+  const std::vector<InitialDichotomy> initial =
+      generate_initial_dichotomies(cs);
+  std::vector<bool> raise_survived(initial.size(), false);
+  for (std::size_t i = 0; i < initial.size(); ++i) {
+    Dichotomy d = initial[i].dichotomy;
+    if (!dichotomy_valid(d, cs) || !raise_dichotomy(d, cs) ||
+        !dichotomy_valid(d, cs))
+      continue;
+    ref.raised.push_back(std::move(d));
+    raise_survived[i] = true;
+  }
+  dedupe_dichotomies(ref.raised);
+  for (std::size_t i = 0; i < initial.size(); ++i) {
+    bool covered = false;
+    for (const Dichotomy& d : ref.raised)
+      if (d.covers(initial[i].dichotomy)) covered = true;
+    if (!covered) ref.uncovered.push_back(i);
+    if (covered && !raise_survived[i]) ++ref.covered_by_others;
+  }
+  return ref;
+}
+
+TEST(CheckFeasible, CoverageShortcutMatchesBruteForceOnFuzzCases) {
+  struct Mix {
+    const char* name;
+    std::uint64_t run_seed;
+    int cases;
+  };
+  std::size_t feasible = 0, infeasible = 0, covered_by_others = 0;
+  for (const Mix& mix : {Mix{"default", 11, 300}, Mix{"output", 12, 150},
+                         Mix{"infeasible", 13, 150}}) {
+    const GeneratorOptions opts = *generator_mix(mix.name);
+    for (int k = 0; k < mix.cases; ++k) {
+      const ConstraintSet cs = generate_case(
+          fuzz_case_seed(mix.run_seed, static_cast<std::uint64_t>(k)), opts);
+      const FeasibilityResult res = check_feasible(cs, ExecContext{});
+      const BruteForceFeasibility ref = brute_force_feasibility(cs);
+      ASSERT_EQ(res.raised, ref.raised) << mix.name << " case " << k;
+      ASSERT_EQ(res.uncovered, ref.uncovered) << mix.name << " case " << k;
+      ASSERT_EQ(res.feasible, ref.uncovered.empty())
+          << mix.name << " case " << k;
+      (res.feasible ? feasible : infeasible) += 1;
+      covered_by_others += ref.covered_by_others;
+    }
+  }
+  // Both verdicts and the scan path past the shortcut are exercised.
+  EXPECT_GT(feasible, 50u);
+  EXPECT_GT(infeasible, 50u);
+  EXPECT_GT(covered_by_others, 0u);
 }
 
 }  // namespace

@@ -59,6 +59,64 @@ TEST(Kiss2, Errors) {
                std::runtime_error);
 }
 
+// Every malformed-header diagnostic names the offending line and says what
+// is wrong; `fragment` must occur in the message.
+void expect_kiss2_error(const std::string& text, const std::string& fragment) {
+  try {
+    parse_kiss2_string(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << "message: " << e.what();
+  }
+}
+
+TEST(Kiss2, StateCountDirectiveIsChecked) {
+  // .s 5 but only two states appear in the transitions.
+  expect_kiss2_error(".i 1\n.o 1\n.s 5\n0 a b 1\n1 b a 0\n",
+                     "KISS2 line 3: .s declares 5 states but the "
+                     "transitions use 2");
+  // A matching count is accepted.
+  EXPECT_EQ(parse_kiss2_string(".i 1\n.o 1\n.s 2\n0 a b 1\n1 b a 0\n")
+                .num_states(),
+            2u);
+}
+
+TEST(Kiss2, NegativeCountIsALineDiagnostic) {
+  // Used to reach Domain and die with "cannot create std::vector larger
+  // than max_size()".
+  expect_kiss2_error("# header\n.i -3\n.o 1\n", "KISS2 line 2: .i expects a count");
+  expect_kiss2_error(".i 1\n.o -1\n", "KISS2 line 2: .o expects a count");
+}
+
+TEST(Kiss2, NonNumericAndOverflowingCountsAreLineDiagnostics) {
+  // Used to print just "stoi".
+  expect_kiss2_error(".i abc\n", "KISS2 line 1: .i expects a count in [0, "
+                                  "1048576], got 'abc'");
+  expect_kiss2_error(".i 1\n.o 99999999999\n",
+                     "KISS2 line 2: .o expects a count");
+  expect_kiss2_error(".i 1\n.o 1\n.p 1x\n", "KISS2 line 3: .p expects");
+  expect_kiss2_error(".i 1\n.o 1\n.s +2\n", "KISS2 line 3: .s expects");
+}
+
+TEST(Kiss2, UnknownResetStateIsRejected) {
+  // .r zz used to add a third state symbol silently.
+  expect_kiss2_error(".i 1\n.o 1\n.r zz\n0 a b 1\n1 b a 0\n",
+                     "KISS2 line 3: reset state 'zz' appears in no "
+                     "transition");
+  // A reset state declared before its transitions is fine.
+  const Fsm fsm =
+      parse_kiss2_string(".i 1\n.o 1\n.r b\n0 a b 1\n1 b a 0\n");
+  EXPECT_EQ(fsm.num_states(), 2u);
+  EXPECT_EQ(fsm.reset_state, static_cast<int>(fsm.states.at("b")));
+}
+
+TEST(Kiss2, TransitionErrorsNameTheLine) {
+  expect_kiss2_error(".i 2\n.o 1\n\n0 a b 1\n", "KISS2 line 4: input width");
+  expect_kiss2_error(".i 1\n.o 1\n.p 3\n0 a b 1\n.e\n",
+                     "KISS2 line 3: .p declares 3 transitions but 1 follow");
+}
+
 TEST(SymbolicCover, OneCubePerTransition) {
   const Fsm fsm = parse_kiss2_string(kTinyKiss);
   const Cover on = fsm_symbolic_cover(fsm);

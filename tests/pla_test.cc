@@ -79,6 +79,32 @@ TEST(Pla, Errors) {
   EXPECT_THROW(read_pla_string(".i 2\n.o 1\n01 x\n"), std::runtime_error);
 }
 
+void expect_pla_error(const std::string& text, const std::string& fragment) {
+  try {
+    read_pla_string(text);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+        << "message: " << e.what();
+  }
+}
+
+TEST(Pla, BadCountsAreLineDiagnostics) {
+  // Non-numeric and overflowing counts used to print just "stoi".
+  expect_pla_error(".i abc\n.o 1\n", "PLA line 1: .i expects a count in [1, "
+                                      "1048576], got 'abc'");
+  expect_pla_error(".i 2\n.o 99999999999\n", "PLA line 2: .o expects");
+  expect_pla_error(".i -3\n.o 1\n", "PLA line 1: .i expects");
+  expect_pla_error(".i 0\n.o 1\n", "PLA line 1: .i expects");
+}
+
+TEST(Pla, CubeErrorsNameTheLine) {
+  expect_pla_error(".i 2\n.o 1\n\n011 1\n", "PLA line 4: cube line has wrong");
+  expect_pla_error(".i 2\n.o 1\n01 x\n", "PLA line 3: bad output character 'x'");
+  // Used to escape as std::invalid_argument from cube_from_string.
+  expect_pla_error(".i 2\n.o 1\n0z 1\n", "PLA line 3: bad input character 'z'");
+}
+
 TEST(Pla, WhitespaceTolerant) {
   const Pla pla = read_pla_string(".i 2\n.o 1\n0 1   1\n");
   EXPECT_EQ(pla.on.size(), 1u);

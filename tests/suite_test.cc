@@ -2,7 +2,12 @@
 // dimensions, determinism, and constraint-generation sanity.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 
 #include "fsm/constraints_gen.h"
 #include "fsm/mcnc_like.h"
@@ -50,7 +55,6 @@ TEST_P(SuiteMachines, EveryStateHasOutgoingEdges) {
 
 TEST_P(SuiteMachines, InputConstraintsAreNonTrivial) {
   const BenchmarkSpec& spec = mcnc_like_suite()[GetParam()];
-  if (spec.states > 40) GTEST_SKIP() << "kept quick: large MV minimization";
   const Fsm fsm = make_mcnc_like(spec);
   const ConstraintSet cs = generate_input_constraints(fsm);
   EXPECT_EQ(cs.num_symbols(), fsm.num_states());
@@ -58,6 +62,59 @@ TEST_P(SuiteMachines, InputConstraintsAreNonTrivial) {
   for (const auto& f : cs.faces()) {
     EXPECT_GE(f.members.size(), 2u);
     EXPECT_LT(f.members.size(), fsm.num_states());
+  }
+}
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (unsigned char ch : s) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// "<machine> <default|table1>" -> hash, from tests/data/constraints_gen.golden.
+const std::map<std::string, std::string>& constraint_goldens() {
+  static const std::map<std::string, std::string> goldens = [] {
+    std::map<std::string, std::string> out;
+    std::ifstream in(ENCODESAT_TESTS_DATA_DIR "/constraints_gen.golden");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream fields(line);
+      std::string machine, options, hash;
+      fields >> machine >> options >> hash;
+      out[machine + " " + options] = hash;
+    }
+    return out;
+  }();
+  return goldens;
+}
+
+TEST_P(SuiteMachines, ConstraintSetsMatchGolden) {
+  // The constraint-generation front end, byte for byte: default options
+  // and the Table 1 flow's (max_dominance = 2n, max_disjunctive = n/4).
+  const BenchmarkSpec& spec = mcnc_like_suite()[GetParam()];
+  const Fsm fsm = make_mcnc_like(spec);
+  ConstraintGenOptions table1;
+  table1.max_dominance = static_cast<int>(fsm.num_states()) * 2;
+  table1.max_disjunctive = static_cast<int>(fsm.num_states()) / 4;
+  const std::pair<const char*, ConstraintGenOptions> runs[] = {
+      {"default", ConstraintGenOptions{}}, {"table1", table1}};
+  for (const auto& [label, opts] : runs) {
+    const std::string key = spec.name + " " + label;
+    const auto it = constraint_goldens().find(key);
+    ASSERT_NE(it, constraint_goldens().end()) << "no golden for " << key;
+    const std::string got =
+        hex16(fnv1a64(generate_mixed_constraints(fsm, opts).to_string()));
+    EXPECT_EQ(got, it->second) << key;
   }
 }
 
