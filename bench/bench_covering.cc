@@ -1,18 +1,21 @@
-// Binate-cover engine benchmark: the rebuilt branch-and-bound engine
-// (src/covering/binate.cc — root reductions, component decomposition,
-// arena-backed explicit-stack search) against a verbatim copy of the
-// pre-rebuild recursive engine, on the same instances.
+// Covering-engine benchmark. Binate cases: the rebuilt branch-and-bound
+// engine (src/covering/binate.cc — root reductions, component
+// decomposition, arena-backed explicit-stack search) against a verbatim
+// copy of the pre-rebuild recursive engine, on the same instances. Unate
+// cases: solve_unate_cover (src/covering/unate.cc) on random tables shaped
+// like the exact pipeline's Table 1 cover tables, cut at a fixed node limit.
 //
 //   bench_covering [--reps N] [--quick] [--out FILE] [--check-reduction X]
 //
-// Per case the JSON records the new engine's wall time plus deterministic
-// counters: `nodes` / `seed_nodes` (search nodes for the new and the seed
-// engine — the headline reduction the rebuild buys), `components`,
-// `propagations` and `cost`. All counters are pure functions of the
-// instance, so compare_bench.py guards them exactly; wall-time regressions
-// against bench/BENCH_covering.json fail the covering_bench_check ctest.
-// --check-reduction X exits nonzero unless some case shows at least an
-// X-fold node reduction over the seed engine.
+// Per case the JSON records the engine's wall time plus deterministic
+// counters: for binate cases `nodes` / `seed_nodes` (search nodes for the
+// new and the seed engine — the headline reduction the rebuild buys),
+// `components`, `propagations` and `cost`; for unate cases `nodes`,
+// `components` and `cost`, which pin the search tree. All counters are pure
+// functions of the instance, so compare_bench.py guards them exactly;
+// wall-time regressions against bench/BENCH_covering.json fail the
+// covering_bench_check ctest. --check-reduction X exits nonzero unless some
+// binate case shows at least an X-fold node reduction over the seed engine.
 //
 // Schema: encodesat-bench-covering-v1 (compare_bench.py-compatible).
 #include <algorithm>
@@ -26,6 +29,7 @@
 #include "core/binate_table.h"
 #include "core/constraints.h"
 #include "covering/binate.h"
+#include "covering/unate.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -179,6 +183,7 @@ namespace {
 
 struct CaseResult {
   std::string name;
+  bool unate = false;  // unate cases have no seed engine or propagations
   double wall_seconds = 0;
   bool truncated = false;
   std::uint64_t nodes = 0;
@@ -268,6 +273,44 @@ BinateCoverProblem block_diagonal(std::uint64_t seed, int blocks,
   return p;
 }
 
+// Random unate table shaped like the exact pipeline's Table 1 cover tables
+// (hundreds of rows, thousands of columns, each row coverable by a few
+// percent of them). Deterministic via the fixed seed.
+UnateCoverProblem random_unate(std::uint64_t seed, std::size_t rows,
+                               std::size_t cols, std::size_t max_width) {
+  Rng rng(seed);
+  UnateCoverProblem p;
+  p.num_columns = cols;
+  for (std::size_t r = 0; r < rows; ++r) {
+    Bitset row(cols);
+    const std::size_t width = 2 + rng.next_below(max_width - 1);
+    for (std::size_t k = 0; k < width; ++k) row.set(rng.next_below(cols));
+    p.rows.push_back(std::move(row));
+  }
+  return p;
+}
+
+CaseResult run_unate_case(const std::string& name, const UnateCoverProblem& p,
+                          std::uint64_t max_nodes, int reps) {
+  CaseResult out;
+  out.name = name;
+  out.unate = true;
+  out.wall_seconds = 1e30;
+  UnateCoverOptions opts;
+  opts.max_nodes = max_nodes;
+  for (int r = 0; r < reps; ++r) {
+    Timer t;
+    const UnateCoverSolution sol = solve_unate_cover(p, opts);
+    const double secs = t.elapsed_seconds();
+    if (secs < out.wall_seconds) out.wall_seconds = secs;
+    out.truncated = sol.truncated;
+    out.nodes = sol.nodes_explored;
+    out.components = sol.components;
+    out.cost = sol.feasible ? sol.cost : -1;
+  }
+  return out;
+}
+
 CaseResult run_case(const std::string& name, const BinateCoverProblem& p,
                     int reps) {
   CaseResult out;
@@ -309,6 +352,19 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& cases) {
   std::fprintf(f, "  \"cases\": [\n");
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
+    if (c.unate) {
+      std::fprintf(f,
+                   "    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
+                   "\"truncated\": %s, "
+                   "\"counters\": {\"nodes\": %llu, \"components\": %llu, "
+                   "\"cost\": %d}}%s\n",
+                   c.name.c_str(), c.wall_seconds,
+                   c.truncated ? "true" : "false",
+                   static_cast<unsigned long long>(c.nodes),
+                   static_cast<unsigned long long>(c.components), c.cost,
+                   i + 1 < cases.size() ? "," : "");
+      continue;
+    }
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"wall_seconds\": %.6f, "
                  "\"truncated\": %s, "
@@ -359,11 +415,22 @@ int main(int argc, char** argv) {
       run_case("random_c60r70", random_binate(41, 60, 70, 20), reps));
   cases.push_back(
       run_case("blocks_4x16", block_diagonal(97, 4, 16), reps));
+  cases.push_back(run_unate_case("unate_r300c2000",
+                                 random_unate(11, 300, 2000, 160), 10000, reps));
+  cases.push_back(run_unate_case("unate_r600c4000",
+                                 random_unate(23, 600, 4000, 240), 10000, reps));
 
   std::printf("%-16s %10s %12s %12s %6s %6s %10s\n", "case", "wall_s",
               "nodes", "seed_nodes", "ratio", "comps", "seed_wall");
   double best_ratio = 0;
   for (const CaseResult& c : cases) {
+    if (c.unate) {
+      std::printf("%-16s %10.6f %12llu %12s %6s %6llu %10s\n",
+                  c.name.c_str(), c.wall_seconds,
+                  static_cast<unsigned long long>(c.nodes), "-", "-",
+                  static_cast<unsigned long long>(c.components), "-");
+      continue;
+    }
     const double ratio =
         static_cast<double>(c.seed_nodes) /
         static_cast<double>(c.nodes ? c.nodes : 1);

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -18,24 +21,63 @@ int column_weight(const UnateCoverProblem& p, std::size_t c) {
   return p.weights.empty() ? 1 : p.weights[c];
 }
 
-// Search state shared across the branch-and-bound recursion. Rows are
-// immutable; a node is characterized by the set of excluded columns and the
-// set of still-uncovered rows.
-//
-// All working sets live in two TermArenas (util/term_arena.h): `col_sets`
-// holds column sets (the immutable row→columns table, the exclusion set and
-// the per-node available-column sets), `row_sets` holds row sets (the
-// covered-rows mask). Each solve() frame owns the refs it receives and the
-// per-node scratch it allocates; TermGuard returns them to the free list on
-// every exit path, so the recursion performs no per-node heap allocation
-// for set data — the arena high-water mark is O(depth · active rows).
+// Rejects a malformed problem before anything indexes it: the weights must
+// match the columns and be non-negative (bound pruning and the single
+// essentials check assume a partial cover never gets cheaper as columns are
+// added), and every row must be a set over exactly the columns.
+void validate_problem(const UnateCoverProblem& p, const char* who) {
+  if (!p.weights.empty() && p.weights.size() != p.num_columns)
+    throw std::invalid_argument(
+        std::string(who) + ": weights has " + std::to_string(p.weights.size()) +
+        " entries for " + std::to_string(p.num_columns) + " columns");
+  for (std::size_t c = 0; c < p.weights.size(); ++c)
+    if (p.weights[c] < 0)
+      throw std::invalid_argument(std::string(who) + ": column " +
+                                  std::to_string(c) + " has negative weight " +
+                                  std::to_string(p.weights[c]));
+  for (const Bitset& r : p.rows)
+    if (r.size() != p.num_columns)
+      throw std::invalid_argument(std::string(who) +
+                                  ": row universe does not match num_columns");
+}
+
+// Search state shared across the branch-and-bound recursion. A node is the
+// list of its uncovered rows, in row order, each with the set of columns
+// still available to cover it and that set's size. The sets live in one
+// TermArena (util/term_arena.h) and are never mutated once built, so a
+// child shares its parent's set for every row its branch leaves unchanged:
+// selecting column c only drops the rows whose set holds c, and excluding
+// c clones (and clears c in) just those rows. A node therefore costs in
+// proportion to what its branch changed, not to the size of the table. The
+// root rows are the immutable table itself; the only arena traffic is the
+// exclude branch's clones, released when that child returns. Scratch
+// vectors are per depth (the row lists) or per search (the rest), so a
+// node allocates nothing once the search has reached its depth.
 struct Search {
+  struct Row {
+    TermRef avail;        // columns still available to cover the row
+    std::uint32_t count;  // |avail|
+  };
+  struct Frame {
+    std::vector<Row> rows;        // the node's uncovered rows (parent-built)
+    std::vector<TermRef> clones;  // exclude-branch sets this node created
+  };
+
   const UnateCoverProblem& p;
   const UnateCoverOptions& opts;
   ExecContext ctx;
   TermArena col_sets;
-  TermArena row_sets;
-  std::vector<TermRef> row_cols;  // row -> its column set (immutable)
+  std::deque<Frame> frames;  // by depth; a deque keeps references stable
+  std::vector<std::size_t> selected;
+  std::vector<char> is_essential;  // per column, clear between nodes
+  std::vector<Row> kept;           // rows surviving row dominance
+  std::vector<char> drop;
+  std::vector<std::size_t> order;
+  TermRef used = 0;  // lower-bound scratch
+  // Arena footprint of the table and scratch, so the reported counters
+  // measure the search's clones only.
+  std::uint64_t table_allocs = 0;
+  std::size_t table_bytes = 0;
   std::uint64_t nodes = 0;
   bool budget_exhausted = false;
   Truncation truncation = Truncation::kNone;
@@ -48,12 +90,18 @@ struct Search {
         opts(options),
         ctx(context),
         col_sets(problem.num_columns, problem.rows.size() + 64),
-        row_sets(problem.rows.size(), 64) {
-    row_cols.reserve(p.rows.size());
-    for (const Bitset& r : p.rows) row_cols.push_back(col_sets.from_bitset(r));
+        frames(1),
+        is_essential(problem.num_columns, 0) {
+    frames[0].rows.reserve(p.rows.size());
+    for (const Bitset& r : p.rows)
+      frames[0].rows.push_back({col_sets.from_bitset(r),
+                                static_cast<std::uint32_t>(r.count())});
+    used = col_sets.alloc();
+    table_allocs = col_sets.total_allocs();
+    table_bytes = col_sets.peak_bytes();
   }
 
-  void record(const std::vector<std::size_t>& selected, int cost) {
+  void record(int cost) {
     if (cost < best_cost) {
       best_cost = cost;
       best_columns = selected;
@@ -62,23 +110,22 @@ struct Search {
 
   // Greedy maximal-independent-set lower bound: a set of pairwise
   // column-disjoint uncovered rows; any cover pays at least the cheapest
-  // column of each row in the set. `acount` caches the avail popcounts.
-  int lower_bound(const std::vector<TermRef>& avail,
-                  const std::vector<std::uint32_t>& acount,
-                  std::vector<std::size_t>& order, TermRef used) {
+  // column of each row in the set.
+  int lower_bound(const std::vector<Row>& rows) {
     // Consider short rows first: they are more likely to be independent and
     // carry tighter bounds.
-    order.resize(avail.size());
+    order.resize(rows.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return acount[a] < acount[b];
+      return rows[a].count < rows[b].count;
     });
+    std::fill_n(col_sets.data(used), col_sets.words(), 0);
     int bound = 0;
     for (std::size_t i : order) {
-      if (col_sets.intersects(avail[i], used)) continue;
-      col_sets.or_into(used, avail[i]);
+      if (col_sets.intersects(rows[i].avail, used)) continue;
+      col_sets.or_into(used, rows[i].avail);
       int cheapest = std::numeric_limits<int>::max();
-      col_sets.for_each(avail[i], [&](std::size_t c) {
+      col_sets.for_each(rows[i].avail, [&](std::size_t c) {
         cheapest = std::min(cheapest, column_weight(p, c));
       });
       bound += cheapest;
@@ -86,13 +133,92 @@ struct Search {
     return bound;
   }
 
-  // Takes ownership of `excluded` (col_sets) and `covered` (row_sets).
-  void solve(TermRef excluded, TermRef covered,
-             std::vector<std::size_t> selected, int cost) {
-    TermGuard cguard(col_sets);
-    TermGuard rguard(row_sets);
-    cguard.track(excluded);
-    rguard.track(covered);
+  // Essential columns: a row with one available column forces it.
+  // Selecting one never shrinks another row's set, so taking them all at
+  // once is the fixpoint of taking them one at a time, and with
+  // non-negative weights a single cost check prunes exactly when any
+  // intermediate one would. Appends them to `selected`, adds their weight
+  // to `cost` and drops the rows they cover; false ends the branch.
+  bool take_essentials(std::vector<Row>& rows, int& cost) {
+    const std::size_t first = selected.size();
+    bool dead = false;
+    for (const Row& r : rows) {
+      if (r.count == 0) dead = true;  // row uncoverable
+      if (r.count != 1) continue;
+      const std::size_t c = col_sets.first(r.avail);
+      if (is_essential[c]) continue;
+      is_essential[c] = 1;
+      selected.push_back(c);
+      cost += column_weight(p, c);
+    }
+    for (std::size_t i = first; i < selected.size(); ++i)
+      is_essential[selected[i]] = 0;
+    if (dead) return false;
+    if (selected.size() == first) return true;
+    if (cost >= best_cost) return false;
+    std::erase_if(rows, [&](const Row& r) {
+      for (std::size_t i = first; i < selected.size(); ++i)
+        if (col_sets.test(r.avail, selected[i])) return true;
+      return false;
+    });
+    return true;
+  }
+
+  // Row dominance into `kept`: if avail[i] ⊆ avail[j], covering row i
+  // covers row j, so row j can be dropped (of two equal rows the later
+  // one). Quadratic — only worth it on smallish sets. The dropped rows stay
+  // uncovered for the children, so `rows` itself is left alone.
+  void drop_dominated(const std::vector<Row>& rows) {
+    kept = rows;
+    if (kept.size() > 512) return;
+    drop.assign(kept.size(), 0);
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      if (drop[i]) continue;
+      for (std::size_t j = 0; j < kept.size(); ++j) {
+        if (i == j || drop[j]) continue;
+        if (kept[i].count > kept[j].count) continue;
+        if (col_sets.is_subset(kept[i].avail, kept[j].avail) &&
+            !(kept[i].count == kept[j].count &&
+              col_sets.equal(kept[i].avail, kept[j].avail) && i > j))
+          drop[j] = 1;
+      }
+    }
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < kept.size(); ++i)
+      if (!drop[i]) kept[n++] = kept[i];
+    kept.resize(n);
+  }
+
+  // The column to branch on: of the first shortest kept row's columns, the
+  // one in the most kept rows (ties to the lowest column).
+  std::size_t branch_column() const {
+    std::size_t pivot_row = 0;
+    for (std::size_t i = 1; i < kept.size(); ++i)
+      if (kept[i].count < kept[pivot_row].count) pivot_row = i;
+    std::size_t best = p.num_columns;
+    std::size_t best_score = 0;
+    col_sets.for_each(kept[pivot_row].avail, [&](std::size_t c) {
+      std::size_t score = 0;
+      for (const Row& r : kept)
+        if (col_sets.test(r.avail, c)) ++score;
+      if (best == p.num_columns || score > best_score) {
+        best_score = score;
+        best = c;
+      }
+    });
+    assert(best < p.num_columns);
+    return best;
+  }
+
+  // Searches the node whose uncovered rows are frames[depth].rows (the node
+  // may rewrite that list: its parent rebuilds it before the next child).
+  void solve(std::size_t depth, int cost) {
+    const std::size_t mark = selected.size();
+    expand(depth, cost);
+    selected.resize(mark);
+  }
+
+  void expand(std::size_t depth, int cost) {
     if (budget_exhausted) return;
     if (++nodes > opts.max_nodes) {
       budget_exhausted = true;
@@ -107,126 +233,50 @@ struct Search {
       truncation = ctx.reason();
       return;
     }
-
-    // --- Reductions to fixpoint -----------------------------------------
-    const TermRef tmp = cguard.track(col_sets.alloc());
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (std::size_t r = 0; r < p.rows.size(); ++r) {
-        if (row_sets.test(covered, r)) continue;
-        col_sets.andnot_of(tmp, row_cols[r], excluded);
-        const std::size_t n = col_sets.count(tmp);
-        if (n == 0) return;  // row uncoverable: dead branch
-        if (n == 1) {
-          // Essential column.
-          const std::size_t c = col_sets.first(tmp);
-          selected.push_back(c);
-          cost += column_weight(p, c);
-          if (cost >= best_cost) return;
-          for (std::size_t q = 0; q < p.rows.size(); ++q)
-            if (!row_sets.test(covered, q) && p.rows[q].test(c))
-              row_sets.set(covered, q);
-          changed = true;
-        }
-      }
-    }
-
-    // Collect active rows and their available column sets.
-    std::vector<std::size_t> active;
-    std::vector<TermRef> avail;
-    std::vector<std::uint32_t> acount;
-    for (std::size_t r = 0; r < p.rows.size(); ++r) {
-      if (!row_sets.test(covered, r)) {
-        const TermRef a = cguard.track(col_sets.alloc());
-        col_sets.andnot_of(a, row_cols[r], excluded);
-        active.push_back(r);
-        avail.push_back(a);
-        acount.push_back(static_cast<std::uint32_t>(col_sets.count(a)));
-      }
-    }
-    if (active.empty()) {
-      record(selected, cost);
+    Frame& frame = frames[depth];
+    std::vector<Row>& rows = frame.rows;
+    if (!take_essentials(rows, cost)) return;
+    if (rows.empty()) {
+      record(cost);
       return;
     }
+    drop_dominated(rows);
+    if (cost + lower_bound(kept) >= best_cost) return;
+    const std::size_t branch_col = branch_column();
 
-    // Row dominance: if avail[i] ⊆ avail[j], covering row i covers row j,
-    // so row j can be dropped. Quadratic — only worth it on smallish sets.
-    if (active.size() <= 512) {
-      std::vector<bool> drop(active.size(), false);
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (drop[i]) continue;
-        for (std::size_t j = 0; j < active.size(); ++j) {
-          if (i == j || drop[j]) continue;
-          if (acount[i] > acount[j]) continue;
-          if (col_sets.is_subset(avail[i], avail[j]) &&
-              !(acount[i] == acount[j] &&
-                col_sets.equal(avail[i], avail[j]) && i > j))
-            drop[j] = true;
-        }
+    if (frames.size() == depth + 1) frames.emplace_back();
+    std::vector<Row>& child = frames[depth + 1].rows;
+
+    // Branch 1: select the column; the rows it covers drop out.
+    child.clear();
+    for (const Row& r : rows)
+      if (!col_sets.test(r.avail, branch_col)) child.push_back(r);
+    selected.push_back(branch_col);
+    solve(depth + 1, cost + column_weight(p, branch_col));
+    selected.pop_back();
+
+    // Branch 2: exclude the column from the rows that offered it.
+    child.clear();
+    for (const Row& r : rows) {
+      if (!col_sets.test(r.avail, branch_col)) {
+        child.push_back(r);
+        continue;
       }
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < active.size(); ++i)
-        if (!drop[i]) {
-          active[kept] = active[i];
-          avail[kept] = avail[i];
-          acount[kept] = acount[i];
-          ++kept;
-        }
-      active.resize(kept);
-      avail.resize(kept);
-      acount.resize(kept);
+      const TermRef t = col_sets.clone(r.avail);
+      col_sets.reset(t, branch_col);
+      frame.clones.push_back(t);
+      child.push_back({t, r.count - 1});
     }
-
-    {
-      const TermRef used = cguard.track(col_sets.alloc());
-      std::vector<std::size_t> order;
-      if (cost + lower_bound(avail, acount, order, used) >= best_cost)
-        return;
-    }
-
-    // Branch on the most-covering column of the shortest row.
-    std::size_t pivot_row = 0;
-    for (std::size_t i = 1; i < avail.size(); ++i)
-      if (acount[i] < acount[pivot_row]) pivot_row = i;
-
-    std::size_t branch_col = p.num_columns;
-    std::size_t best_score = 0;
-    col_sets.for_each(avail[pivot_row], [&](std::size_t c) {
-      std::size_t score = 0;
-      for (std::size_t i = 0; i < avail.size(); ++i)
-        if (col_sets.test(avail[i], c)) ++score;
-      if (branch_col == p.num_columns || score > best_score ||
-          (score == best_score && c < branch_col)) {
-        best_score = score;
-        branch_col = c;
-      }
-    });
-    assert(branch_col < p.num_columns);
-
-    // Branch 1: select the column.
-    {
-      const TermRef cov = row_sets.clone(covered);
-      for (std::size_t q = 0; q < p.rows.size(); ++q)
-        if (!row_sets.test(cov, q) && p.rows[q].test(branch_col))
-          row_sets.set(cov, q);
-      auto sel = selected;
-      sel.push_back(branch_col);
-      solve(col_sets.clone(excluded), cov, std::move(sel),
-            cost + column_weight(p, branch_col));
-    }
-    // Branch 2: exclude the column.
-    {
-      const TermRef exc = col_sets.clone(excluded);
-      col_sets.set(exc, branch_col);
-      solve(exc, row_sets.clone(covered), std::move(selected), cost);
-    }
+    solve(depth + 1, cost);
+    for (const TermRef t : frame.clones) col_sets.release(t);
+    frame.clones.clear();
   }
 };
 
 }  // namespace
 
 UnateCoverSolution greedy_unate_cover(const UnateCoverProblem& p) {
+  validate_problem(p, "greedy_unate_cover");
   UnateCoverSolution sol;
   Bitset covered(p.rows.size());
   std::size_t remaining = p.rows.size();
@@ -348,18 +398,15 @@ UnateCoverSolution solve_reduced(const UnateCoverProblem& q,
     Search search(q, options, ctx);
     search.best_cost = greedy.cost;
     search.best_columns = greedy.columns;
-    search.solve(search.col_sets.alloc(), search.row_sets.alloc(), {}, 0);
+    search.solve(0, 0);
     sol.optimal = !search.budget_exhausted;
     sol.truncation = search.truncation;
     sol.columns = search.best_columns;
     sol.cost = search.best_cost;
     sol.nodes_explored = search.nodes;
-    sol.arena_allocs =
-        search.col_sets.total_allocs() + search.row_sets.total_allocs();
-    sol.arena_reuses =
-        search.col_sets.total_reuses() + search.row_sets.total_reuses();
-    sol.peak_arena_bytes =
-        search.col_sets.peak_bytes() + search.row_sets.peak_bytes();
+    sol.arena_allocs = search.col_sets.total_allocs() - search.table_allocs;
+    sol.arena_reuses = search.col_sets.total_reuses();
+    sol.peak_arena_bytes = search.col_sets.peak_bytes() - search.table_bytes;
   } else {
     // Greedy only, by configuration: no optimality proof was attempted.
     sol.truncation = Truncation::kNodeLimit;
@@ -381,6 +428,7 @@ std::size_t dsu_find(std::vector<std::size_t>& parent, std::size_t x) {
 UnateCoverSolution solve_unate_cover(const UnateCoverProblem& p,
                                      const UnateCoverOptions& options,
                                      const ExecContext& ctx) {
+  validate_problem(p, "solve_unate_cover");
   StageScope stage(ctx, "unate_cover");
   for (const Bitset& r : p.rows)
     if (r.empty()) return UnateCoverSolution{};  // infeasible

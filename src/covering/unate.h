@@ -43,12 +43,14 @@ struct UnateCoverSolution {
   std::size_t columns_after_reduction = 0;
   /// Independent connected components the root decomposed the search into.
   std::size_t components = 1;
-  /// Search-arena traffic, summed over components (col_sets + row_sets):
-  /// fresh slot creations and free-list reuses. Deterministic across thread
-  /// counts — each component runs single-threaded with a private budget.
+  /// Search-arena traffic, summed over components: fresh slot creations
+  /// and free-list reuses for the available-column sets the search clones
+  /// when it excludes a column (the immutable row table is not counted).
+  /// Deterministic across thread counts — each component runs
+  /// single-threaded with a private budget.
   std::uint64_t arena_allocs = 0;
   std::uint64_t arena_reuses = 0;
-  /// Largest single-component arena footprint in bytes.
+  /// Largest single-component clone footprint in bytes.
   std::size_t peak_arena_bytes = 0;
   /// Uniform truncation shape (see docs/API.md): `truncated` always mirrors
   /// `truncation != Truncation::kNone`.
@@ -64,13 +66,16 @@ struct UnateCoverSolution {
 /// each searched independently with its own `max_nodes` budget — and, when
 /// `ctx.num_threads` > 1, concurrently. The selected columns are identical
 /// for every thread count; `ctx.budget` (deadline/cancellation, polled
-/// every 1024 nodes) only affects whether optimality is proved.
+/// every 1024 nodes) only affects whether optimality is proved. Throws
+/// std::invalid_argument when `weights` is neither empty nor one per
+/// column, a weight is negative, or a row's universe is not `num_columns`.
 UnateCoverSolution solve_unate_cover(const UnateCoverProblem& problem,
                                      const UnateCoverOptions& options = {},
                                      const ExecContext& ctx = {});
 
 /// Greedy (largest cover-count / weight first) — used as the upper bound
-/// seed and as the standalone heuristic solver.
+/// seed and as the standalone heuristic solver. Validates its input like
+/// solve_unate_cover.
 UnateCoverSolution greedy_unate_cover(const UnateCoverProblem& problem);
 
 }  // namespace encodesat

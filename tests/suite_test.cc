@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/solver.h"
 #include "fsm/constraints_gen.h"
 #include "fsm/mcnc_like.h"
 #include "fsm/reachability.h"
@@ -117,6 +118,51 @@ TEST_P(SuiteMachines, ConstraintSetsMatchGolden) {
     EXPECT_EQ(got, it->second) << key;
   }
 }
+
+// The Table 1 exact flow end to end on the synth_exact machines: Table 1
+// constraint options, max_terms 50000, max_nodes 20000. The unate cover's
+// node count, the code length, the minimality proof, the truncation reason
+// and an FNV-1a 64 hash of the code table, one line per machine in
+// tests/data/unate_cover.golden, so any change to the covering search tree
+// shows up here.
+class SynthExactCover : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SynthExactCover, MatchesGolden) {
+  std::map<std::string, std::string> goldens;
+  std::ifstream in(ENCODESAT_TESTS_DATA_DIR "/unate_cover.golden");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.find(' ');
+    goldens[line.substr(0, space)] = line.substr(space + 1);
+  }
+  const std::string machine = GetParam();
+
+  const Fsm fsm = make_mcnc_like(benchmark_spec(machine));
+  ConstraintGenOptions gopts;
+  gopts.max_dominance = static_cast<int>(fsm.num_states()) * 2;
+  gopts.max_disjunctive = static_cast<int>(fsm.num_states()) / 4;
+  const ConstraintSet cs = generate_mixed_constraints(fsm, gopts);
+  SolveOptions opts;
+  opts.pipeline = SolveOptions::Pipeline::kExact;
+  opts.exact.prime_options.max_terms = 50000;
+  opts.exact.cover_options.max_nodes = 20000;
+  const SolveResult r = Solver(cs).encode(opts);
+  ASSERT_TRUE(r.encoded()) << machine;
+  const std::string got =
+      "nodes=" + std::to_string(r.nodes_explored) +
+      " bits=" + std::to_string(r.encoding.bits) +
+      " minimal=" + std::to_string(r.minimal ? 1 : 0) +
+      " truncation=" + truncation_name(r.truncation) +
+      " codes=" + hex16(fnv1a64(r.encoding.to_string(cs.symbols())));
+  const auto it = goldens.find(machine);
+  ASSERT_NE(it, goldens.end()) << "no golden for " << machine << " " << got;
+  EXPECT_EQ(got, it->second) << machine;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1, SynthExactCover,
+                         ::testing::Values("dk512", "master", "cse", "bbsse",
+                                           "kirkman"));
 
 INSTANTIATE_TEST_SUITE_P(
     All, SuiteMachines,
