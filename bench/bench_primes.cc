@@ -9,9 +9,9 @@
 // Schema (encodesat-bench-primes-v2): one record per case with the minimum
 // wall time over N repetitions plus the deterministic fold metrics (work
 // units, peak arena bytes, term count) that must not drift silently. v2
-// adds a per-case "counters" object (arena allocs/reuses, signature-prune
-// hits) so compare_bench.py can flag *work* regressions — e.g. the free
-// list no longer being hit, or the subset-prune losing effectiveness —
+// adds a per-case "counters" object (arena allocs/reuses, witness-test
+// rejections) so compare_bench.py can flag *work* regressions — e.g. the
+// free list no longer being hit, or the fold keeping different candidates —
 // independent of wall-clock noise.
 #include <cstdio>
 #include <cstring>
@@ -43,7 +43,7 @@ struct CaseResult {
   // Deterministic work counters (the v2 "counters" object).
   std::uint64_t arena_allocs = 0;
   std::uint64_t arena_reuses = 0;
-  std::uint64_t prune_sig_hits = 0;
+  std::uint64_t witness_rejects = 0;
   // Solve-cache counters (the solve_cache_* cases; zero elsewhere). The
   // hit pattern is deterministic, so compare_bench.py pins it too.
   std::uint64_t cache_hits = 0;
@@ -55,7 +55,7 @@ struct CaseResult {
     folds = fold.folds;
     arena_allocs = fold.arena_allocs;
     arena_reuses = fold.arena_reuses;
-    prune_sig_hits = fold.prune_sig_hits;
+    witness_rejects = fold.witness_rejects;
   }
 };
 
@@ -220,7 +220,7 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& cases) {
                  "\"work_units\": %llu, \"peak_arena_bytes\": %zu, "
                  "\"num_terms\": %zu, \"folds\": %zu, \"truncated\": %s, "
                  "\"counters\": {\"arena_allocs\": %llu, "
-                 "\"arena_reuses\": %llu, \"prune_sig_hits\": %llu, "
+                 "\"arena_reuses\": %llu, \"witness_rejects\": %llu, "
                  "\"cache_hits\": %llu, \"cache_misses\": %llu}}%s\n",
                  c.name.c_str(), c.wall_seconds,
                  static_cast<unsigned long long>(c.work_units),
@@ -228,7 +228,7 @@ void write_json(std::FILE* f, const std::vector<CaseResult>& cases) {
                  c.truncated ? "true" : "false",
                  static_cast<unsigned long long>(c.arena_allocs),
                  static_cast<unsigned long long>(c.arena_reuses),
-                 static_cast<unsigned long long>(c.prune_sig_hits),
+                 static_cast<unsigned long long>(c.witness_rejects),
                  static_cast<unsigned long long>(c.cache_hits),
                  static_cast<unsigned long long>(c.cache_misses),
                  i + 1 < cases.size() ? "," : "");
@@ -281,6 +281,8 @@ int main(int argc, char** argv) {
   cases.push_back(run_sop_case("sop_stride_n96", stride_graph(96), 20000,
                                reps));
   cases.push_back(run_machine_case("keyb", reps));
+  // The heaviest fold of the exact synthesis flow, run to completion.
+  cases.push_back(run_machine_case("kirkman", reps));
   {
     // Repeat workload: the same canonical instance under 8 symbol
     // permutations, cold vs. cached (part of the quick set so bench_check

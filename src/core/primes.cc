@@ -1,7 +1,10 @@
 #include "core/primes.h"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -12,97 +15,48 @@ namespace encodesat {
 
 namespace {
 
-// The working SOP of the fold: arena refs with cached popcounts and folded
-// containment signatures in parallel arrays, so the containment scans read
-// contiguous memory and only touch the full terms on signature survivors.
-// The vectors are reused across folds; after the first few folds the loop
-// performs no heap allocation at all.
-struct TermList {
-  std::vector<TermRef> refs;
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint64_t> sigs;
+// The fold's input must be the adjacency of a simple undirected graph: a
+// row over another universe would index past the peeling state, a self-loop
+// (x + x) breaks the minimality tests of the fold, and an asymmetric pair
+// names no sum at all.
+void validate_two_cnf(const std::vector<Bitset>& incompat) {
+  const std::size_t m = incompat.size();
+  const std::string who = "two_cnf_to_minimal_sop: ";
+  for (std::size_t i = 0; i < m; ++i)
+    if (incompat[i].size() != m)
+      throw std::invalid_argument(
+          who + "row " + std::to_string(i) + " has universe " +
+          std::to_string(incompat[i].size()) + ", expected " +
+          std::to_string(m));
+  for (std::size_t i = 0; i < m; ++i) {
+    if (incompat[i].test(i))
+      throw std::invalid_argument(who + "self-loop on variable " +
+                                  std::to_string(i));
+    incompat[i].for_each([&](std::size_t j) {
+      if (!incompat[j].test(i))
+        throw std::invalid_argument(who + "row " + std::to_string(i) +
+                                    " holds " + std::to_string(j) +
+                                    " but row " + std::to_string(j) +
+                                    " does not hold " + std::to_string(i));
+    });
+  }
+}
 
-  std::size_t size() const { return refs.size(); }
-  void clear() {
-    refs.clear();
-    counts.clear();
-    sigs.clear();
-  }
-  void push(TermRef r, std::uint32_t c, std::uint64_t s) {
-    refs.push_back(r);
-    counts.push_back(c);
-    sigs.push_back(s);
-  }
-  void swap(TermList& o) {
-    refs.swap(o.refs);
-    counts.swap(o.counts);
-    sigs.swap(o.sigs);
-  }
-};
-
-// Keeps only the minimal terms (no kept term is a superset of another):
-// absorption x + xy = x for a unate SOP, i.e. single-cube containment.
-// Terms are sorted by (popcount, word-lex); adjacent duplicates are
-// released, and the subset scan for a term only runs over kept terms of
-// strictly smaller popcount (an equal-count absorber would equal the
-// deduplicated term) that also pass the folded-signature test — most
-// candidate pairs are rejected on the popcount bucket or the one-word
-// signature without touching the full terms. Output is count-ascending.
-void keep_minimal_terms(TermArena& arena, TermList& terms,
-                        std::vector<std::uint32_t>& order, TermList& out,
-                        std::uint64_t& sig_hits) {
-  const std::size_t n = terms.size();
-  order.resize(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (terms.counts[a] != terms.counts[b])
-                return terms.counts[a] < terms.counts[b];
-              // One-word signature compare settles most ties; the full
-              // word-lex order is only consulted on signature collisions,
-              // so duplicates (equal count *and* signature) stay adjacent.
-              if (terms.sigs[a] != terms.sigs[b])
-                return terms.sigs[a] < terms.sigs[b];
-              return arena.less(terms.refs[a], terms.refs[b]);
-            });
-
-  out.clear();
-  std::size_t eq_start = 0;  // first kept index with the current popcount
-  std::uint32_t run_count = ~0u;
-  bool have_prev = false;
-  TermRef prev = 0;
-  for (std::uint32_t i : order) {
-    const TermRef r = terms.refs[i];
-    const std::uint32_t c = terms.counts[i];
-    const std::uint64_t s = terms.sigs[i];
-    // Duplicates are adjacent in the sort order.
-    if (have_prev && c == run_count && arena.equal(prev, r)) {
-      arena.release(r);
-      continue;
+// True iff every v ∈ t ∩ border has an H-neighbour outside t ∪ N, i.e.
+// keeps a private edge. `adj` holds H's rows of `words` words each.
+bool every_vertex_has_witness(const std::uint64_t* t, const std::uint64_t* nbr,
+                              const std::uint64_t* border,
+                              const std::uint64_t* adj, std::size_t words) {
+  for (std::size_t k = 0; k < words; ++k)
+    for (std::uint64_t rest = t[k] & border[k]; rest != 0; rest &= rest - 1) {
+      const std::uint64_t* row =
+          adj + (k * 64 + static_cast<std::size_t>(std::countr_zero(rest))) *
+                    words;
+      std::size_t j = 0;
+      while (j < words && (row[j] & ~(t[j] | nbr[j])) == 0) ++j;
+      if (j == words) return false;
     }
-    if (c != run_count) {
-      eq_start = out.size();
-      run_count = c;
-    }
-    have_prev = true;
-    prev = r;
-    bool absorbed = false;
-    for (std::size_t j = 0; j < eq_start; ++j) {
-      if ((out.sigs[j] & ~s) != 0) {
-        ++sig_hits;
-        continue;
-      }
-      if (arena.is_subset(out.refs[j], r)) {
-        absorbed = true;
-        break;
-      }
-    }
-    if (absorbed)
-      arena.release(r);
-    else
-      out.push(r, c, s);
-  }
-  terms.swap(out);
+  return true;
 }
 
 }  // namespace
@@ -114,6 +68,7 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
                                            const ExecContext& ctx,
                                            Truncation* reason,
                                            SopFoldStats* fold_stats) {
+  validate_two_cnf(incompat);
   const std::size_t m = incompat.size();
   if (truncated) *truncated = false;
   if (reason) *reason = Truncation::kNone;
@@ -144,37 +99,58 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
       }
     if (x == m) break;  // no edges left
     splits.emplace_back(x, residual[x]);
-    // Remove every sum containing x.
+    // Remove every sum containing x (the rows are symmetric, so each
+    // neighbour loses exactly the sum (x + j)).
     residual[x].for_each([&](std::size_t j) {
       residual[j].reset(x);
-      degree[j] = residual[j].count();
+      --degree[j];
     });
     residual[x] = Bitset(m);
     degree[x] = 0;
   }
 
-  // Fold back: SOP := ps(x_expr, SOP) from the innermost split outwards.
-  // x_expr = x + Π neighbours(x), so each term either gains {x} or gains
-  // the neighbour set; single-cube containment keeps the result minimal.
+  // Fold back: SOP := ps(x + Π N, SOP) from the innermost split outwards.
+  // Before the fold of (x, N) the SOP is the set of minimal vertex covers
+  // of H, the graph of the edges folded so far, and x is not a vertex of H
+  // (its edges to later splits are exactly x–N). The fold adds the edges
+  // x–N; each old term t offers t ∪ {x} and t ∪ N, and each offer is kept
+  // or dropped by a test on t alone instead of by pairwise containment:
   //
-  // The working terms live in a flat TermArena (util/term_arena.h): one
-  // contiguous buffer, O(1) free-list reuse, popcounts and folded
-  // signatures cached in parallel arrays. The Bitset vectors at this
-  // function's boundary are conversion shims only.
+  //  * t ∪ {x} is minimal iff N ⊄ t. If N ⊆ t, then t ∪ N = t absorbs it;
+  //    otherwise x keeps a private edge into N \ t, and every v ∈ t keeps
+  //    its private H-edge (x is not an H-neighbour).
+  //  * t ∪ N is minimal iff every v ∈ t \ N still has an H-neighbour outside
+  //    t ∪ N; each vertex of N has x as its private neighbour.
+  //
+  // The new SOP lists the kept t ∪ {x} in SOP order, then the kept t ∪ N of
+  // the terms meeting N sorted by (count, signature, word-lex) of t \ N with
+  // duplicates dropped, then those of the terms disjoint from N in SOP
+  // order: the order the pairwise minimization used to produce.
+  //
+  // The working terms live in a flat TermArena (util/term_arena.h); the
+  // Bitset vectors at this function's boundary are conversion shims only.
+  const std::size_t words = (m + 63) / 64;
   TermArena arena(m, /*reserve_terms=*/256);
-  TermList sop, with_nbrs, scratch, d_half;
-  std::vector<std::uint32_t> order, d_idx;
-  sop.push(arena.alloc(), 0, 0);  // cs of the empty expression: constant 1
+  // H's adjacency: one row of `words` words per variable.
+  std::vector<std::uint64_t> adj(m * words, 0);
+  std::vector<std::uint64_t> nbr(words), border(words), dead(words);
+  struct Touched {
+    std::uint32_t count;  // |t \ N|
+    std::uint64_t sig;    // folded signature of t \ N
+    TermRef ref;          // t ∪ N
+  };
+  std::vector<Touched> touched;
+  std::vector<TermRef> sop, next, disjoint;
+  sop.push_back(arena.alloc());  // cs of the empty expression: constant 1
 
   std::uint64_t work = 0;
-  std::uint64_t sig_hits = 0;
-  const std::uint64_t words = (m + 63) / 64;
+  std::uint64_t witness_rejects = 0;
   auto fill_fold_stats = [&] {
     if (!fold_stats) return;
     fold_stats->peak_arena_bytes = arena.peak_bytes();
     fold_stats->arena_allocs = arena.total_allocs();
     fold_stats->arena_reuses = arena.total_reuses();
-    fold_stats->prune_sig_hits = sig_hits;
+    fold_stats->witness_rejects = witness_rejects;
   };
   auto truncate_fold = [&](Truncation why) {
     fill_fold_stats();
@@ -183,11 +159,12 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
   for (auto it = splits.rbegin(); it != splits.rend(); ++it) {
     TRACE_SCOPE(ctx, "sop_fold");
     const std::size_t x = it->first;
-    // Work accounting (in bitset word operations, upper bound): the
-    // absorption scans below cost at most |B|^2/2 + |A|*|B| pairwise subset
-    // checks of `words` words each for this fold. The signature/popcount
-    // pruning makes the *measured* cost much lower, but the charged units
-    // keep the pre-arena scale so budget trip points stay comparable.
+    const Bitset& n_set = it->second;
+    // Work accounting (in bitset word operations): |SOP|^2 * 3/2 pairwise
+    // subset checks of `words` words each, the bound of a pairwise
+    // absorption pass. The fold itself is one pass over the SOP plus a
+    // sort, but the charged units keep this scale: budgets, and with them
+    // Table 1's truncation points, are set in these units.
     const std::uint64_t fold_work =
         (static_cast<std::uint64_t>(sop.size()) * sop.size() * 3 / 2) * words;
     work += fold_work;
@@ -198,134 +175,114 @@ std::vector<Bitset> two_cnf_to_minimal_sop(const std::vector<Bitset>& incompat,
     if (work > max_work) return truncate_fold(Truncation::kWorkBudget);
     // The shared budget sees the same work units; its deadline and
     // cancellation flag are polled once per fold, bounding the latency of a
-    // truncated return by one absorption scan.
+    // truncated return by one fold.
     if (!ctx.charge(fold_work)) return truncate_fold(ctx.reason());
     if (!ctx.poll()) return truncate_fold(ctx.reason());
-    // Bail out before paying the absorption scan on a hopeless blow-up:
-    // absorption at most halves the set, so 2x over budget cannot recover.
+    // Bail out before paying for the fold on a hopeless blow-up: a fold at
+    // most halves the set, so 2x over budget cannot recover.
     if (sop.size() > max_terms) return truncate_fold(Truncation::kTermLimit);
 
-    const TermRef nbr = arena.from_bitset(it->second);
-    const std::uint64_t nbr_sig = arena.signature(nbr);
-    const std::uint32_t nbr_count =
-        static_cast<std::uint32_t>(arena.count(nbr));
-    const std::uint64_t x_bit = std::uint64_t{1} << (x & 63);
+    // Only a vertex v ∉ N with an H-neighbour in N (the border) can lose
+    // its last private neighbour to t ∪ N: every v ∈ t has one outside t,
+    // and for v off the border it is outside N too. A border vertex whose
+    // whole H-neighbourhood lies in N (dead) fails every term holding it.
+    std::copy_n(n_set.words(), words, nbr.begin());
+    std::fill(border.begin(), border.end(), 0);
+    std::fill(dead.begin(), dead.end(), 0);
+    n_set.for_each([&](std::size_t u) {
+      const std::uint64_t* row = &adj[u * words];
+      for (std::size_t k = 0; k < words; ++k) border[k] |= row[k];
+    });
+    for (std::size_t k = 0; k < words; ++k) {
+      border[k] &= ~nbr[k];
+      for (std::uint64_t b = border[k]; b != 0; b &= b - 1) {
+        const std::uint64_t* row =
+            &adj[(k * 64 + static_cast<std::size_t>(std::countr_zero(b))) *
+                 words];
+        std::size_t j = 0;
+        while (j < words && (row[j] & ~nbr[j]) == 0) ++j;
+        if (j == words) dead[k] |= b & -b;
+      }
+    }
 
-    // next = {t ∪ {x}} ∪ {t ∪ N}. Structure exploited for absorption:
-    // terms never contain x before this fold (x was peeled first), so the
-    // {t ∪ {x}} half inherits the SOP's pairwise incomparability verbatim
-    // and no term of it can absorb a {t ∪ N} term (those lack x). Only the
-    // {t ∪ N} half needs internal minimization — and since *every* term of
-    // that half contains N, t1 ∪ N ⊆ t2 ∪ N iff t1\N ⊆ t2\N: minimize the
-    // stripped terms {t \ N} instead and OR N back into the survivors.
-    //
-    // Stripping changes only terms that intersect N. Because the old SOP is
-    // pairwise incomparable, an absorber among the stripped terms must have
-    // *lost* elements (t1\N ⊆ t2\N with t1 ⊄ t2 forces t1 ∩ N ≠ ∅), so
-    // N-disjoint terms never absorb anything and are never duplicates —
-    // the quadratic minimization runs over the touched subset only, and
-    // each N-disjoint term just needs one absorbed-by-kept-touched scan.
-    with_nbrs.clear();
-    d_idx.clear();
-    for (std::size_t i = 0; i < sop.size(); ++i) {
-      if ((sop.sigs[i] & nbr_sig) != 0 &&
-          arena.intersects(sop.refs[i], nbr)) {
-        const TermRef w = arena.alloc();
-        arena.andnot_of(w, sop.refs[i], nbr);
-        with_nbrs.push(w, static_cast<std::uint32_t>(arena.count(w)),
-                       arena.signature(w));
+    next.clear();
+    touched.clear();
+    disjoint.clear();
+    for (const TermRef t : sop) {
+      const std::uint64_t* tw = arena.data(t);
+      std::uint64_t meets = 0, missing = 0, on_dead = 0;
+      for (std::size_t k = 0; k < words; ++k) {
+        meets |= tw[k] & nbr[k];
+        missing |= nbr[k] & ~tw[k];
+        on_dead |= tw[k] & dead[k];
+      }
+      const bool keep_x = missing != 0;
+      const bool keep_n =
+          on_dead == 0 && every_vertex_has_witness(tw, nbr.data(),
+                                                   border.data(), adj.data(),
+                                                   words);
+      if (keep_n) {
+        // The sort key of a term meeting N is read off t \ N before a
+        // second slot is taken: clone() may move the arena's buffer, so
+        // `tw` is not read past it.
+        std::uint32_t count = 0;
+        std::uint64_t sig = 0;
+        if (meets != 0)
+          for (std::size_t k = 0; k < words; ++k) {
+            const std::uint64_t rest = tw[k] & ~nbr[k];
+            count += static_cast<std::uint32_t>(std::popcount(rest));
+            sig |= rest;
+          }
+        const TermRef w = keep_x ? arena.clone(t) : t;
+        std::uint64_t* ww = arena.data(w);
+        for (std::size_t k = 0; k < words; ++k) ww[k] |= nbr[k];
+        if (meets != 0)
+          touched.push_back({count, sig, w});
+        else
+          disjoint.push_back(w);
       } else {
-        d_idx.push_back(static_cast<std::uint32_t>(i));
+        ++witness_rejects;
       }
-    }
-    keep_minimal_terms(arena, with_nbrs, order, scratch, sig_hits);
-
-    // Surviving N-disjoint terms join the {t ∪ N} half as clones (their
-    // originals are still needed for the {t ∪ {x}} half below). An absorber
-    // with equal count would equal the term, which stripping rules out, so
-    // the ≤-count scan bound is exact.
-    d_half.clear();
-    for (std::uint32_t i : d_idx) {
-      const TermRef t = sop.refs[i];
-      const std::uint32_t c = sop.counts[i];
-      const std::uint64_t s = sop.sigs[i];
-      bool absorbed = false;
-      for (std::size_t j = 0;
-           j < with_nbrs.size() && with_nbrs.counts[j] <= c; ++j) {
-        if ((with_nbrs.sigs[j] & ~s) != 0) {
-          ++sig_hits;
-          continue;
-        }
-        if (arena.is_subset(with_nbrs.refs[j], t)) {
-          absorbed = true;
-          break;
-        }
-      }
-      if (!absorbed) d_half.push(arena.clone(t), c, s);
-    }
-
-    // The {t ∪ {x}} half, built by mutating the old SOP terms in place.
-    // Since x is in no {t ∪ N} term, b ⊆ t ∪ {x} iff b ⊆ t; and every
-    // b = sb ∪ N contains N, so b ⊆ t requires N ⊆ t — one signature test
-    // plus one subset check gates the whole scan per term, and in the
-    // common case (t misses some neighbour of x) nothing is scanned.
-    // Under the gate, b ⊆ t iff sb ⊆ t with |sb| ≤ |t| - |N| (sb ∩ N = ∅),
-    // so the count-ascending stripped list is scanned only up to that
-    // bound (b == t, i.e. sb = t\N, absorbs too and sits at the bound).
-    // d_half never absorbs here: its sb is itself an old SOP term, and
-    // sb ⊆ t contradicts the old SOP's pairwise incomparability.
-    scratch.clear();
-    for (std::size_t i = 0; i < sop.size(); ++i) {
-      const TermRef t = sop.refs[i];
-      const std::uint32_t c = sop.counts[i];
-      const std::uint64_t s = sop.sigs[i];
-      bool absorbed = false;
-      if ((nbr_sig & ~s) == 0 && arena.is_subset(nbr, t)) {
-        const std::uint32_t limit = c - nbr_count;
-        for (std::size_t j = 0;
-             j < with_nbrs.size() && with_nbrs.counts[j] <= limit; ++j) {
-          if ((with_nbrs.sigs[j] & ~s) != 0) {
-            ++sig_hits;
-            continue;
-          }
-          if (arena.is_subset(with_nbrs.refs[j], t)) {
-            absorbed = true;
-            break;
-          }
-        }
-      }
-      if (absorbed) {
+      if (keep_x) {
+        arena.set(t, x);
+        next.push_back(t);
+      } else if (!keep_n) {
         arena.release(t);
+      }
+    }
+    // Every N-half term contains N, so word-lex order and equality of t ∪ N
+    // are those of t \ N.
+    std::sort(touched.begin(), touched.end(),
+              [&](const Touched& a, const Touched& b) {
+                if (a.count != b.count) return a.count < b.count;
+                if (a.sig != b.sig) return a.sig < b.sig;
+                return arena.less(a.ref, b.ref);
+              });
+    for (std::size_t i = 0; i < touched.size(); ++i) {
+      const TermRef w = touched[i].ref;
+      if (i > 0 && arena.equal(next.back(), w)) {
+        arena.release(w);
         continue;
       }
-      arena.set(t, x);
-      scratch.push(t, c + 1, s | x_bit);
+      next.push_back(w);
     }
-    // Reconstitute the {t ∪ N} half from the kept stripped terms.
-    for (std::size_t j = 0; j < with_nbrs.size(); ++j) {
-      const TermRef w = with_nbrs.refs[j];
-      arena.or_into(w, nbr);
-      scratch.push(w, with_nbrs.counts[j] + nbr_count,
-                   with_nbrs.sigs[j] | nbr_sig);
-    }
-    for (std::size_t j = 0; j < d_half.size(); ++j) {
-      const TermRef w = d_half.refs[j];
-      arena.or_into(w, nbr);
-      scratch.push(w, d_half.counts[j] + nbr_count,
-                   d_half.sigs[j] | nbr_sig);
-    }
-    with_nbrs.clear();
-    d_half.clear();
-    arena.release(nbr);
-    if (scratch.size() > max_terms) return truncate_fold(Truncation::kTermLimit);
-    sop.swap(scratch);
+    next.insert(next.end(), disjoint.begin(), disjoint.end());
+
+    // H gains the edges x–N.
+    std::uint64_t* x_row = &adj[x * words];
+    for (std::size_t k = 0; k < words; ++k) x_row[k] |= nbr[k];
+    n_set.for_each([&](std::size_t v) {
+      adj[v * words + (x >> 6)] |= std::uint64_t{1} << (x & 63);
+    });
+    if (next.size() > max_terms) return truncate_fold(Truncation::kTermLimit);
+    sop.swap(next);
   }
 
   if (fold_stats) fold_stats->num_terms = sop.size();
   fill_fold_stats();
   std::vector<Bitset> result;
   result.reserve(sop.size());
-  for (TermRef r : sop.refs) result.push_back(arena.to_bitset(r));
+  for (TermRef r : sop) result.push_back(arena.to_bitset(r));
   return result;
 }
 
@@ -367,7 +324,7 @@ PrimeGenResult generate_prime_dichotomies(const std::vector<Dichotomy>& ds,
   metric_add(ctx, "primes.fold_work", result.fold.work);
   metric_add(ctx, "primes.arena_allocs", result.fold.arena_allocs);
   metric_add(ctx, "primes.arena_reuses", result.fold.arena_reuses);
-  metric_add(ctx, "primes.prune_sig_hits", result.fold.prune_sig_hits);
+  metric_add(ctx, "primes.witness_rejects", result.fold.witness_rejects);
   metric_add(ctx, "primes.sop_terms", result.fold.num_terms);
   metric_max(ctx, "primes.peak_arena_bytes", result.fold.peak_arena_bytes);
   if (truncated) {

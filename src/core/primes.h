@@ -10,6 +10,17 @@
 // (x + Π neighbours(x)); that two-term expression is multiplied into the
 // recursive result for the remaining sums and minimized by single-cube
 // containment.
+//
+// The minimization needs no pairwise containment scan. The SOP is always
+// the set of minimal vertex covers of the graph H of the sums folded so
+// far, and x is not a vertex of H. Multiplying in (x + Π N) keeps t ∪ {x}
+// iff N ⊄ t, and keeps t ∪ N iff every v ∈ t \ N still has an H-neighbour
+// outside t ∪ N (a private edge). Each test reads one term and H's
+// adjacency rows, so a fold is one pass over the SOP plus a sort of the
+// kept terms that meet N. The terms come out in the order a pairwise
+// minimization would give (see core/primes.cc), and each fold is charged
+// that minimization's |SOP|^2 * 3/2 * words bound, so term lists, budget
+// trip points and truncation reasons match it exactly.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +57,9 @@ struct SopFoldStats {
   std::uint64_t arena_allocs = 0;
   /// Arena allocations served from the free list (no heap growth).
   std::uint64_t arena_reuses = 0;
-  /// Candidate containment pairs rejected by the one-word folded signature
-  /// before touching the full terms — the subset-prune hit count.
-  std::uint64_t prune_sig_hits = 0;
+  /// N-half candidates t ∪ N dropped because some vertex of t \ N has no
+  /// neighbour outside t ∪ N in the graph folded so far (the witness test).
+  std::uint64_t witness_rejects = 0;
 };
 
 struct PrimeGenResult {
@@ -78,6 +89,9 @@ PrimeGenResult generate_prime_dichotomies(const std::vector<Dichotomy>& ds,
 /// Exposed for tests and the Figure 3 bench: converts a 2-CNF given as
 /// adjacency sets (edge {i,j} iff incompat[i].test(j)) into the minimal SOP
 /// term list via the cs/ps recursion. Terms are Bitsets over num_vars.
+/// Throws std::invalid_argument unless `incompat` is a simple undirected
+/// graph: every row over incompat.size() elements, no self-loop, and
+/// incompat[i].test(j) == incompat[j].test(i).
 /// `ctx.budget` is charged with the fold work and polled once per fold;
 /// `reason` (optional) reports why the run truncated; `fold_stats`
 /// (optional) receives the fold metrics of SopFoldStats. The fold itself

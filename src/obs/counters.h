@@ -1,7 +1,7 @@
 // Named-counter registry for the observability subsystem.
 //
 // Pipeline stages report monotonic counters and high-water gauges (arena
-// allocations and reuses, subset-prune signature hits, dichotomy raise
+// allocations and reuses, fold witness-test rejections, dichotomy raise
 // attempts, covering nodes and components, budget truncations) into the
 // MetricsRegistry installed on ExecContext. The registry is shared across
 // threads: value updates are relaxed atomic adds, registration takes a

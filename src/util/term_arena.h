@@ -11,12 +11,14 @@
 //  * set operations are straight word loops over adjacent memory;
 //  * a term is named by a TermRef (32-bit index), cheap to copy and store.
 //
-// The arena also provides the folded 64-bit *signature* used by the
-// signature-pruned single-cube-containment pass (keep_minimal_terms of
-// core/primes.cc): sig(t) = OR of all words of t, i.e. bit j of the
-// signature is set iff t contains some element ≡ j (mod 64). Since
-// a ⊆ b implies sig(a) & ~sig(b) == 0, one word comparison rejects most
-// candidate pairs without touching the full terms.
+// The arena also provides the folded 64-bit *signature* sig(t) = OR of all
+// words of t, i.e. bit j of the signature is set iff t contains some
+// element ≡ j (mod 64). Since a ⊆ b implies sig(a) & ~sig(b) == 0, one word
+// comparison rejects a subset candidate without touching the full terms.
+//
+// Pointers returned by data() do not survive alloc() or clone(): either may
+// grow the buffer and move every term. Hold TermRefs across allocations and
+// re-read data() after them.
 //
 // TermArena is a single-thread data structure; the pipeline's determinism
 // contract is unaffected because each arena lives entirely inside one
@@ -93,6 +95,7 @@ class TermArena {
     --live_;
   }
 
+  /// Valid until the next alloc() or clone(), which may move the buffer.
   std::uint64_t* data(TermRef t) { return &buf_[idx(t)]; }
   const std::uint64_t* data(TermRef t) const { return &buf_[idx(t)]; }
 
