@@ -1,11 +1,15 @@
 // Tests for the Section 7 cost functions (Figure 9 semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/bounded.h"
 #include "core/cost.h"
 #include "core/encoder.h"
 #include "core/solver.h"
 #include "core/verify.h"
+#include "logic/espresso.h"
 #include "logic/exact_minimize.h"
 #include "util/rng.h"
 
@@ -199,6 +203,119 @@ TEST(Cost, PerFaceCubesMatchExactOracleOnSmallSpaces) {
       EXPECT_EQ(static_cast<int>(exact.cover.size()), 1);
     }
   }
+}
+
+
+// Reference for evaluate_face_cost: the Fig. 9 per-face function minimized
+// by espresso(on, dc), which takes the OFF-set as the URP complement of
+// ON u DC.
+FaceCost reference_face_cost(const Encoding& enc, const ConstraintSet& cs,
+                             const FaceConstraint& f, const Cover& unused_dc,
+                             bool fast) {
+  const Domain& dom = unused_dc.domain();
+  auto minterm = [&](std::uint64_t code) {
+    Cube c(dom);
+    for (int v = 0; v < dom.num_inputs(); ++v)
+      c.bits.set(static_cast<std::size_t>(
+          dom.pos(v, static_cast<int>((code >> v) & 1u))));
+    c.bits.set(static_cast<std::size_t>(dom.out_pos(0)));
+    return c;
+  };
+  FaceCost cost;
+  cost.satisfied = face_satisfied(enc, cs, f);
+  Cover on(dom);
+  if (cost.satisfied) {
+    Cube span = minterm(enc.codes[f.members[0]]);
+    for (auto m : f.members) span = cube_supercube(span, minterm(enc.codes[m]));
+    on.add(span);
+  } else {
+    for (auto m : f.members) on.add(minterm(enc.codes[m]));
+  }
+  Cover dc = unused_dc;
+  for (auto d : f.dontcares) dc.add(minterm(enc.codes[d]));
+  EspressoOptions opts;
+  opts.single_pass = fast;
+  const Cover minimized = espresso(on, dc, opts);
+  cost.cubes = static_cast<int>(minimized.size());
+  cost.literals = minimized.input_literals();
+  return cost;
+}
+
+TEST(Cost, FaceCostMatchesComplementReference) {
+  // Seeded random code tables, duplicates allowed, against the reference.
+  // Some cases force an outside symbol onto a member's or a don't-care's
+  // code; about a third have no don't-care symbols at all.
+  Rng rng(0xface0ff5e7);
+  int duplicates = 0, outside_on_member = 0, outside_on_dontcare = 0,
+      no_dontcares = 0, satisfied = 0, violated = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::uint32_t n = 2 + static_cast<std::uint32_t>(rng.next_below(8));
+    ConstraintSet cs;
+    for (std::uint32_t i = 0; i < n; ++i)
+      cs.symbols().intern("s" + std::to_string(i));
+    Encoding enc;
+    enc.bits = 1 + static_cast<int>(rng.next_below(4));
+    const std::uint64_t space = std::uint64_t{1} << enc.bits;
+    enc.codes.resize(n);
+    if (space >= n && rng.next_bool()) {
+      std::vector<std::uint64_t> codes(space);
+      for (std::uint64_t c = 0; c < space; ++c) codes[c] = c;
+      for (std::size_t i = codes.size(); i > 1; --i)
+        std::swap(codes[i - 1], codes[rng.next_below(i)]);
+      for (std::uint32_t s = 0; s < n; ++s) enc.codes[s] = codes[s];
+    } else {
+      for (std::uint32_t s = 0; s < n; ++s) enc.codes[s] = rng.next_below(space);
+    }
+
+    // Category per symbol: 2 member, 1 don't-care, 0 outside; at least one
+    // member.
+    std::vector<int> cat(n, 0);
+    const bool with_dontcares = rng.next_below(3) != 0;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const std::uint64_t r = rng.next_below(10);
+      cat[s] = r < 4 ? 2 : (with_dontcares && r < 6 ? 1 : 0);
+    }
+    cat[rng.next_below(n)] = 2;
+    std::vector<std::uint32_t> members, dontcares, outside;
+    for (std::uint32_t s = 0; s < n; ++s)
+      (cat[s] == 2 ? members : cat[s] == 1 ? dontcares : outside).push_back(s);
+    if (!outside.empty() && rng.next_below(3) == 0) {
+      const std::uint32_t o = outside[rng.next_below(outside.size())];
+      const auto& donors =
+          !dontcares.empty() && rng.next_bool() ? dontcares : members;
+      enc.codes[o] = enc.codes[donors[rng.next_below(donors.size())]];
+    }
+    for (auto o : outside) {
+      for (auto m : members) outside_on_member += enc.codes[o] == enc.codes[m];
+      for (auto d : dontcares)
+        outside_on_dontcare += enc.codes[o] == enc.codes[d];
+    }
+    std::vector<std::uint64_t> sorted = enc.codes;
+    std::sort(sorted.begin(), sorted.end());
+    duplicates +=
+        std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end();
+    no_dontcares += dontcares.empty();
+    cs.add_face_ids(members, dontcares);
+
+    const FaceConstraint& f = cs.faces()[0];
+    const Cover unused_dc = unused_code_dontcares(enc);
+    for (const bool fast : {true, false}) {
+      const FaceCost got = evaluate_face_cost(enc, cs, f, unused_dc, fast);
+      const FaceCost want = reference_face_cost(enc, cs, f, unused_dc, fast);
+      EXPECT_EQ(got.satisfied, want.satisfied) << "trial " << trial;
+      EXPECT_EQ(got.cubes, want.cubes) << "trial " << trial << " fast " << fast;
+      EXPECT_EQ(got.literals, want.literals)
+          << "trial " << trial << " fast " << fast;
+      (want.satisfied ? satisfied : violated) += 1;
+    }
+  }
+  // The draw reaches every case the OFF-set construction distinguishes.
+  EXPECT_GT(duplicates, 50);
+  EXPECT_GT(outside_on_member, 20);
+  EXPECT_GT(outside_on_dontcare, 20);
+  EXPECT_GT(no_dontcares, 100);
+  EXPECT_GT(satisfied, 100);
+  EXPECT_GT(violated, 100);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/normalize.h"
 #include "core/solver.h"
 #include "fsm/constraints_gen.h"
 #include "fsm/mcnc_like.h"
@@ -159,6 +160,75 @@ TEST_P(SynthExactCover, MatchesGolden) {
   ASSERT_NE(it, goldens.end()) << "no golden for " << machine << " " << got;
   EXPECT_EQ(got, it->second) << machine;
 }
+
+// The CLI's default encode flow per suite machine: default constraint
+// options, normalize_constraints, then P-3 bounded encoding at the minimum
+// code length. Each line of tests/data/bounded_encode.golden holds the
+// solve's work units and the bounded_encode stage's items (cost
+// evaluations), an FNV-1a 64
+// hash of the code table and the returned cubes, literals and violated
+// faces, so any change to the heuristic's search or to the Fig. 9 cost it
+// prices candidates by shows up here. Every machine but planet (whose
+// constraint generation alone takes seconds) runs at kCubes; the six
+// synth_bounded benchmark machines also run at kLiterals and kViolatedFaces.
+class BoundedEncodeGolden : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(BoundedEncodeGolden, MatchesGolden) {
+  std::map<std::string, std::string> goldens;
+  std::ifstream in(ENCODESAT_TESTS_DATA_DIR "/bounded_encode.golden");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string machine, cost;
+    fields >> machine >> cost;
+    std::string rest;
+    std::getline(fields, rest);
+    goldens[machine + " " + cost] = rest.substr(rest.find_first_not_of(' '));
+  }
+  const std::string machine = GetParam();
+  const std::set<std::string> synth_bounded = {"dk16", "donfile", "sand",
+                                               "tbk",  "styr",    "vmecont"};
+
+  const Fsm fsm = make_mcnc_like(benchmark_spec(machine));
+  ConstraintSet cs = generate_mixed_constraints(fsm);
+  normalize_constraints(cs);
+  const int bits = minimum_code_length(fsm.num_states());
+  std::vector<std::pair<const char*, CostKind>> kinds = {
+      {"cubes", CostKind::kCubes}};
+  if (synth_bounded.count(machine) != 0) {
+    kinds.emplace_back("literals", CostKind::kLiterals);
+    kinds.emplace_back("violated", CostKind::kViolatedFaces);
+  }
+  for (const auto& [label, kind] : kinds) {
+    SolveOptions opts;
+    opts.bounded.cost = kind;
+    StageStats stats;
+    const BoundedEncodeResult r =
+        Solver(cs).encode_bounded(bits, opts, &stats);
+    const StageStats* stage = stats.find("bounded_encode");
+    ASSERT_NE(stage, nullptr);
+    const std::string got =
+        "work=" + std::to_string(stats.work) +
+        " items=" + std::to_string(stage->items) +
+        " codes=" + hex16(fnv1a64(r.encoding.to_string(cs.symbols()))) +
+        " cubes=" + std::to_string(r.cost.cubes) +
+        " literals=" + std::to_string(r.cost.literals) +
+        " violated=" + std::to_string(r.cost.violated_faces);
+    const std::string key = machine + " " + label;
+    const auto it = goldens.find(key);
+    if (it == goldens.end())
+      ADD_FAILURE() << "no golden for " << key << " " << got;
+    else
+      EXPECT_EQ(got, it->second) << key;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Suite, BoundedEncodeGolden,
+    ::testing::Values("bbsse", "cse", "dk16", "dk16x", "dk512", "donfile",
+                      "ex1", "exlinp", "keyb", "kirkman", "master", "s1",
+                      "s1a", "sand", "styr", "tbk", "viterbi", "vmecont"));
 
 INSTANTIATE_TEST_SUITE_P(Table1, SynthExactCover,
                          ::testing::Values("dk512", "master", "cse", "bbsse",
