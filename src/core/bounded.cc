@@ -79,6 +79,39 @@ Encoding selection_codes(const std::vector<std::uint32_t>& subset,
   return enc;
 }
 
+// Whether some member of `f` is not also listed as a don't-care.
+bool has_strict_member(const FaceConstraint& f) {
+  for (auto m : f.members)
+    if (std::find(f.dontcares.begin(), f.dontcares.end(), m) ==
+        f.dontcares.end())
+      return true;
+  return false;
+}
+
+// Fig. 9 cost of face `f` under opts.cost, for a code table `enc` whose
+// codes are distinct (wherever the heuristic prices a face) and with
+// `unused_dc` its unused codes (unread under kViolatedFaces). A violated
+// face count needs no minimization. A satisfied face under kCubes is
+// exactly one cube: its ON-set is the single spanned cube, and a member
+// that is not also a don't-care has a code no DC point covers (codes are
+// distinct), so no ESPRESSO step can drop or split that cube. Literals
+// are always minimized.
+long unique_code_face_cost(const Encoding& enc, const ConstraintSet& cs,
+                           const FaceConstraint& f, const Cover& unused_dc,
+                           const BoundedEncodeOptions& opts) {
+  switch (opts.cost) {
+    case CostKind::kViolatedFaces:
+      return face_satisfied(enc, cs, f) ? 0 : 1;
+    case CostKind::kCubes:
+      if (face_satisfied(enc, cs, f) && has_strict_member(f)) return 1;
+      return evaluate_face_cost(enc, cs, f, unused_dc, opts.fast_cost).cubes;
+    case CostKind::kLiterals:
+      return evaluate_face_cost(enc, cs, f, unused_dc, opts.fast_cost)
+          .literals;
+  }
+  return 0;
+}
+
 struct Evaluator {
   const ConstraintSet& cs;
   const BoundedEncodeOptions& opts;
@@ -97,12 +130,14 @@ struct Evaluator {
     bool unique = false;
     const Encoding enc = selection_codes(subset, selection, &unique);
     if (!unique) return std::numeric_limits<long>::max();
-    if (opts.cost == CostKind::kViolatedFaces)
-      return static_cast<long>(restricted.faces().size()) -
-             count_satisfied_faces(enc, restricted);
-    const EncodingCost c =
-        evaluate_encoding_cost(enc, restricted, opts.fast_cost);
-    return c.by_kind(opts.cost);
+    if (restricted.faces().empty()) return 0;
+    const Cover unused_dc = opts.cost == CostKind::kViolatedFaces
+                                ? Cover()
+                                : unused_code_dontcares(enc);
+    long total = 0;
+    for (const FaceConstraint& f : restricted.faces())
+      total += unique_code_face_cost(enc, restricted, f, unused_dc, opts);
+    return total;
   }
 };
 
@@ -405,19 +440,13 @@ void polish_by_swaps(Encoding& enc, const ConstraintSet& cs,
   }
 
   int evals = 0;
+  // Swaps and moves to free codes keep the codes distinct.
   auto face_value = [&](std::size_t i) -> long {
     ++evals;
     ctx.charge(1);
     if ((evals & 63) == 0) ctx.poll();
-    const FaceCost fc =
-        evaluate_face_cost(enc, cs, cs.faces()[i], live_unused_dc,
-                           /*fast=*/opts.fast_cost);
-    switch (opts.cost) {
-      case CostKind::kViolatedFaces: return fc.satisfied ? 0 : 1;
-      case CostKind::kCubes: return fc.cubes;
-      case CostKind::kLiterals: return fc.literals;
-    }
-    return 0;
+    return unique_code_face_cost(enc, cs, cs.faces()[i], live_unused_dc,
+                                 opts);
   };
 
   std::vector<long> face_cost(nf);

@@ -127,9 +127,19 @@ FaceCost evaluate_face_cost(const Encoding& enc, const ConstraintSet& cs,
   }
   Cover dc = unused_dc;
   for (auto m : f.dontcares) dc.add(code_minterm(dom, enc.codes[m], out));
+  // The OFF-set needs no complement: every code is a member's or a
+  // don't-care's (ON or DC), an outside symbol's, or unused (DC), so the
+  // OFF-set is the used codes that no member or don't-care holds.
+  Cover off(dom);
+  for (const std::uint64_t code : enc.codes) {
+    bool inside = false;
+    for (auto m : f.members) inside = inside || enc.codes[m] == code;
+    for (auto d : f.dontcares) inside = inside || enc.codes[d] == code;
+    if (!inside) off.add(code_minterm(dom, code, out));
+  }
   EspressoOptions opts;
   opts.single_pass = fast;
-  const Cover minimized = espresso(on, dc, opts);
+  const Cover minimized = espresso(on, dc, off, opts);
   cost.cubes = static_cast<int>(minimized.size());
   cost.literals = minimized.input_literals();
   return cost;

@@ -50,6 +50,12 @@ Cover unused_code_dontcares(const Encoding& enc);
 
 /// Cost of one face constraint: satisfied => exactly one product term by
 /// construction; violated => the ESPRESSO-minimized member cover.
+/// Precondition: `unused_dc` is the unused codes of `enc`
+/// (unused_code_dontcares(enc) or any cover of the same points). The
+/// OFF-set is then read off the code table (the codes of symbols outside
+/// the face that no member or don't-care also holds) instead of being
+/// complemented, so a `unused_dc` that misses an unused code or covers a
+/// used one gives a wrong cost.
 struct FaceCost {
   bool satisfied = false;
   int cubes = 0;

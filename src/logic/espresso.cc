@@ -108,23 +108,12 @@ void reduce_cover(Cover& f, const Cover& dc) {
   }
 }
 
-Cover espresso(const Cover& on, const Cover& dc, const EspressoOptions& opts,
-               EspressoStats* stats) {
-  Cover f = on;
-  f.make_scc_minimal();
-  if (stats) {
-    *stats = EspressoStats{};
-    stats->initial_cubes = on.size();
-  }
-  if (f.empty()) {
-    if (stats) stats->final_cubes = 0;
-    return f;
-  }
+namespace {
 
-  Cover on_dc = f;
-  on_dc.add_all(dc);
-  const Cover off = complement(on_dc);
-
+// EXPAND / IRREDUNDANT / REDUCE from the SCC-minimal ON-set `f` (not empty)
+// against the OFF-set `off`.
+Cover minimize(Cover f, const Cover& dc, const Cover& off,
+               const EspressoOptions& opts, EspressoStats* stats) {
   expand_against_offset(f, off);
   make_irredundant(f, dc);
 
@@ -148,6 +137,36 @@ Cover espresso(const Cover& on, const Cover& dc, const EspressoOptions& opts,
   }
   if (stats) stats->final_cubes = f.size();
   return f;
+}
+
+// The SCC-minimal copy of `on`, with `stats` reset.
+Cover scc_minimal_copy(const Cover& on, EspressoStats* stats) {
+  Cover f = on;
+  f.make_scc_minimal();
+  if (stats) {
+    *stats = EspressoStats{};
+    stats->initial_cubes = on.size();
+  }
+  return f;
+}
+
+}  // namespace
+
+Cover espresso(const Cover& on, const Cover& dc, const EspressoOptions& opts,
+               EspressoStats* stats) {
+  Cover f = scc_minimal_copy(on, stats);
+  if (f.empty()) return f;
+  Cover on_dc = f;
+  on_dc.add_all(dc);
+  const Cover off = complement(on_dc);
+  return minimize(std::move(f), dc, off, opts, stats);
+}
+
+Cover espresso(const Cover& on, const Cover& dc, const Cover& off,
+               const EspressoOptions& opts, EspressoStats* stats) {
+  Cover f = scc_minimal_copy(on, stats);
+  if (f.empty()) return f;
+  return minimize(std::move(f), dc, off, opts, stats);
 }
 
 Cover espresso_nodc(const Cover& on) {

@@ -28,8 +28,16 @@ struct EspressoStats {
 
 /// Minimizes the ON-set cover `on` against don't-care cover `dc` (same
 /// domain). Returns a cover equivalent to `on` modulo `dc` that is
-/// irredundant and prime with respect to the OFF-set.
+/// irredundant and prime with respect to the OFF-set, which is computed as
+/// the complement of `on` + `dc` (URP).
 Cover espresso(const Cover& on, const Cover& dc,
+               const EspressoOptions& opts = {}, EspressoStats* stats = nullptr);
+
+/// The same minimization with the OFF-set supplied by the caller, for
+/// callers that know it without a complement. `off` must cover exactly the
+/// points outside `on` + `dc`; any such cover gives the same result as the
+/// form above, since EXPAND asks of it only whether a cube meets it.
+Cover espresso(const Cover& on, const Cover& dc, const Cover& off,
                const EspressoOptions& opts = {}, EspressoStats* stats = nullptr);
 
 /// Convenience wrapper with an empty don't-care set.

@@ -161,6 +161,31 @@ TEST_P(EspressoRandomEquivalence, PreservesFunction) {
   const Cover min = espresso(on, dc);
   EXPECT_TRUE(covers_equivalent(min, on, dc));
   EXPECT_LE(min.size(), on.size() == 0 ? 0 : on.size());
+
+  // Any cover of the OFF-set gives the same result as its URP complement:
+  // here, its minterms.
+  Cover on_dc = on;
+  on_dc.add_all(dc);
+  const Cover off = complement(on_dc);
+  Cover off_minterms(dom);
+  for (int m = 0; m < (1 << ni); ++m)
+    for (int o = 0; o < no; ++o) {
+      std::string in, out(static_cast<std::size_t>(no), '0');
+      for (int v = 0; v < ni; ++v) in += static_cast<char>('0' + ((m >> v) & 1));
+      out[static_cast<std::size_t>(o)] = '1';
+      const Cube point = cube_from_string(dom, in, out);
+      for (const Cube& c : off)
+        if (cube_contains(c, point)) {
+          off_minterms.add(point);
+          break;
+        }
+    }
+  for (const bool single_pass : {false, true}) {
+    EspressoOptions opts;
+    opts.single_pass = single_pass;
+    EXPECT_EQ(espresso(on, dc, off_minterms, opts).to_string(),
+              espresso(on, dc, opts).to_string());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EspressoRandomEquivalence,
