@@ -124,8 +124,8 @@ class Broker {
   InFlightTable& single_flight() { return inflight_; }
   /// Requests currently queued (diagnostics; racy by nature).
   std::size_t queue_depth() const;
-  /// Requests currently on a worker, between dequeue and callback
-  /// (diagnostics; racy by nature).
+  /// Requests currently on a worker, between dequeue and the delivery of
+  /// their response (diagnostics; racy by nature).
   int in_flight() const {
     return in_flight_.load(std::memory_order_relaxed);
   }
